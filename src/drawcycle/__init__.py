@@ -4,7 +4,7 @@ cycle-consistent GAN, built on a tape-based numpy autodiff engine."""
 from .autograd import Tape, Tensor, backward, zero_grad
 from .data import Dataset, SynthConfig, load_pgm, save_pgm, synth_generate
 from .metrics import MetricsReport, evaluate_dataset, mse, psnr, ssim
-from .models import build_discriminator, build_generator, init_weights
+from .models import DiscriminatorNet, GeneratorNet, init_weights
 from .objectives import (
     LossBundle, cycle_consistency_loss, gan_loss_discriminator,
     gan_loss_generator, identity_loss, total_objective,

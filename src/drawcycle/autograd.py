@@ -139,13 +139,6 @@ def mul(a, b):
     return from_op(out, (a, b), bwd)
 
 
-def ew_binary(a, b, kind):
-    ops = {"add": add, "sub": sub, "mul": mul}
-    if kind not in ops:
-        raise ValueError("unknown binary kind %r" % (kind,))
-    return ops[kind](a, b)
-
-
 def neg(a):
     a = _as_tensor(a)
     out = Tensor(-a.data)
@@ -221,20 +214,6 @@ def softplus(a):
         accumulate_grad(a, g * s)
 
     return from_op(out, (a,), bwd)
-
-
-def ew_unary(a, kind):
-    ops = {
-        "neg": neg,
-        "abs": abs_,
-        "log": log,
-        "tanh": tanh,
-        "sigmoid": sigmoid,
-        "softplus": softplus,
-    }
-    if kind not in ops:
-        raise ValueError("unknown unary kind %r" % (kind,))
-    return ops[kind](a)
 
 
 # ---------------------------------------------------------------------------
@@ -418,21 +397,14 @@ def backward(root, tape):
         raise ValueError("backward root must be a scalar tensor")
     if root.node_id is None:
         raise ValueError("backward root was not recorded on a tape")
-    # Propagate only this pass's flow through recorded nodes: stash any
-    # previously accumulated intermediate grads and restore them afterward,
-    # so repeated backward calls accumulate instead of double-counting.
-    stashed = []
-    for out, _ in tape._nodes:
-        stashed.append(out.grad)
-        out.grad = None
+    # A node's gradient is dropped as soon as its backward function has used
+    # it, so a repeated call on the same tape accumulates into the leaves
+    # without double-counting.
     root.grad = np.ones_like(root.data)
     for out, fn in reversed(tape._nodes):
-        if out.grad is None:
-            continue
-        fn(out.grad)
-    for (out, _), old in zip(tape._nodes, stashed):
-        if old is not None:
-            out.grad = old if out.grad is None else out.grad + old
+        if out.grad is not None:
+            g, out.grad = out.grad, None
+            fn(g)
 
 
 def zero_grad(params):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .data import (
-    Dataset, SynthConfig, load_corpus, load_pgm, net_to_image, image_to_net,
+    SynthConfig, image_to_net, list_pgm, load_corpus, load_pgm, net_to_image,
     save_pgm, synth_generate, write_corpus,
 )
 from .metrics import evaluate_dataset, report_summary, report_to_csv
@@ -77,7 +77,7 @@ def cmd_train(args):
 def cmd_translate(args):
     trainer = Trainer.checkpoint_load(args.ckpt)
     net = trainer.g_xy if args.direction == "x2y" else trainer.g_yx
-    names = sorted(n for n in os.listdir(args.indir) if n.endswith(".pgm"))
+    names = list_pgm(args.indir)
     if not names:
         raise ValueError("no .pgm files in %s" % (args.indir,))
     os.makedirs(args.out, exist_ok=True)
@@ -89,15 +89,21 @@ def cmd_translate(args):
     return 0
 
 
-def _load_pgm_dir(path):
-    names = sorted(n for n in os.listdir(path) if n.endswith(".pgm"))
-    return names, [load_pgm(os.path.join(path, n)) for n in names]
+def _load_pgm_dir(path, names):
+    return [load_pgm(os.path.join(path, n)) for n in names]
 
 
 def cmd_evaluate(args):
-    t_names, translated = _load_pgm_dir(args.translated)
-    _, reference = _load_pgm_dir(args.reference)
-    report = evaluate_dataset(translated, reference, ids=[n[:-4] for n in t_names])
+    """Score each translated image against the reference of the same name."""
+    names = list_pgm(args.translated)
+    ref_names = list_pgm(args.reference)
+    if names != ref_names:
+        raise ValueError("file names differ: only in %s: %s; only in %s: %s" % (
+            args.translated, ", ".join(sorted(set(names) - set(ref_names))) or "-",
+            args.reference, ", ".join(sorted(set(ref_names) - set(names))) or "-"))
+    report = evaluate_dataset(_load_pgm_dir(args.translated, names),
+                              _load_pgm_dir(args.reference, names),
+                              ids=[n[:-4] for n in names])
     _write_atomic(args.out, report_to_csv(report))
     print(report_summary(report))
     return 0
@@ -171,10 +177,10 @@ def cmd_curves(args):
 
 
 def cmd_noise_report(args):
+    images = _load_pgm_dir(args.data, list_pgm(args.data))
     results = []
     for label, path in (("a", args.ckpt_a), ("b", args.ckpt_b)):
         trainer = Trainer.checkpoint_load(path)
-        names, images = _load_pgm_dir(args.data)
         dev = output_noise_deviation(trainer.g_xy, images, args.sigma, seed=args.seed)
         results.append((label, trainer.cfg.variant, path, dev))
     for label, variant, path, dev in results:

@@ -1,5 +1,5 @@
-"""Synthetic two-domain engineering-drawing corpus, PGM image I/O,
-augmentation, and split handling.
+"""Synthetic two-domain engineering-drawing corpus, PGM image I/O and
+split handling.
 
 Domain X holds bare part outlines (rectangles, polylines, circles drawn
 white on black); domain Y holds the same kind of geometry plus annotation
@@ -282,36 +282,6 @@ def synth_generate(cfg):
 
 
 # ---------------------------------------------------------------------------
-# augmentation
-
-def hflip(image):
-    return np.ascontiguousarray(image[:, ::-1])
-
-
-def translate(image, dr, dc, fill=0):
-    out = np.full_like(image, fill)
-    H, W = image.shape
-    src_r = slice(max(0, -dr), min(H, H - dr))
-    dst_r = slice(max(0, dr), min(H, H + dr))
-    src_c = slice(max(0, -dc), min(W, W - dc))
-    dst_c = slice(max(0, dc), min(W, W + dc))
-    out[dst_r, dst_c] = image[src_r, src_c]
-    return out
-
-
-def augment(image, rng, ops=("hflip", "translate"), max_shift=3):
-    """Randomized flip / small translate; deterministic for a given rng."""
-    out = image
-    if "hflip" in ops and rng.random() < 0.5:
-        out = hflip(out)
-    if "translate" in ops:
-        dr = int(rng.integers(-max_shift, max_shift + 1))
-        dc = int(rng.integers(-max_shift, max_shift + 1))
-        out = translate(out, dr, dc)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # corpus directory layout
 
 SUBDIRS = ("trainX", "trainY", "testX", "testY", "eval_pairs")
@@ -334,11 +304,15 @@ def write_corpus(dataset, outdir):
             save_pgm(img, os.path.join(outdir, sub, "%04d.pgm" % i))
 
 
+def list_pgm(path):
+    """Sorted names of the ``.pgm`` files in a directory."""
+    return sorted(n for n in os.listdir(path) if n.endswith(".pgm"))
+
+
 def _load_dir(path):
     if not os.path.isdir(path):
         raise FileNotFoundError("missing corpus directory %s" % (path,))
-    names = sorted(n for n in os.listdir(path) if n.endswith(".pgm"))
-    return [load_pgm(os.path.join(path, n)) for n in names]
+    return [load_pgm(os.path.join(path, n)) for n in list_pgm(path)]
 
 
 def load_corpus(root):

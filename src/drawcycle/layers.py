@@ -28,34 +28,38 @@ def sparse_mask_init(shape, weight_sparsity, rng_seed):
     return mask.reshape(shape)
 
 
-class Conv2d:
+class Layer:
+    """One protocol for every layer.  ``tensors`` lists the named tensors
+    a layer owns, in checkpoint order: those with ``requires_grad`` are its
+    parameters, and all of them are its checkpoint state.  A layer with
+    other state (an RNG, a lazily bound buffer) overrides the state
+    methods."""
+
+    tensors = ()
+
+    def params(self):
+        return [t for _, t in self.tensors if t.requires_grad]
+
+    def state_arrays(self):
+        return [(name, t.data) for name, t in self.tensors]
+
+    def load_state_arrays(self, get):
+        for name, t in self.tensors:
+            t.data[...] = get(name)
+
+
+class Conv2d(Layer):
     """Plain convolution layer holding weight and optional bias."""
 
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, bias=True):
-        self.in_ch = in_ch
-        self.out_ch = out_ch
-        self.kernel = kernel
         self.stride = stride
         self.padding = padding
         self.weight = Tensor(np.zeros((out_ch, in_ch, kernel, kernel)), requires_grad=True)
         self.bias = Tensor(np.zeros(out_ch), requires_grad=True) if bias else None
-
-    def params(self):
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
+        self.tensors = [("weight", self.weight)] + ([("bias", self.bias)] if bias else [])
 
     def forward(self, x, train=False):
         return ag.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-    def state_arrays(self):
-        out = [("weight", self.weight.data)]
-        if self.bias is not None:
-            out.append(("bias", self.bias.data))
-        return out
-
-    def load_state_arrays(self, get):
-        self.weight.data[...] = get("weight")
-        if self.bias is not None:
-            self.bias.data[...] = get("bias")
 
 
 class SparseConv2d(Conv2d):
@@ -68,8 +72,8 @@ class SparseConv2d(Conv2d):
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, bias=True,
                  weight_sparsity=0.5, mask_seed=0):
         super().__init__(in_ch, out_ch, kernel, stride=stride, padding=padding, bias=bias)
-        self.weight_sparsity = weight_sparsity
         self.mask = Tensor(sparse_mask_init(self.weight.shape, weight_sparsity, mask_seed))
+        self.tensors.append(("mask", self.mask))
 
     def apply_mask(self):
         self.weight.data *= self.mask.data
@@ -78,43 +82,20 @@ class SparseConv2d(Conv2d):
         masked = ag.mul(self.weight, self.mask)
         return ag.conv2d(x, masked, self.bias, stride=self.stride, padding=self.padding)
 
-    def state_arrays(self):
-        return super().state_arrays() + [("mask", self.mask.data)]
 
-    def load_state_arrays(self, get):
-        super().load_state_arrays(get)
-        self.mask.data[...] = get("mask")
-
-
-class ConvTranspose2d:
+class ConvTranspose2d(Layer):
     """Fractionally-strided convolution layer (upsampling)."""
 
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, bias=True):
-        self.in_ch = in_ch
-        self.out_ch = out_ch
-        self.kernel = kernel
         self.stride = stride
         self.padding = padding
         # adjoint convention: weight maps in_ch -> out_ch, stored (in, out, K, K)
         self.weight = Tensor(np.zeros((in_ch, out_ch, kernel, kernel)), requires_grad=True)
         self.bias = Tensor(np.zeros(out_ch), requires_grad=True) if bias else None
-
-    def params(self):
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
+        self.tensors = [("weight", self.weight)] + ([("bias", self.bias)] if bias else [])
 
     def forward(self, x, train=False):
         return ag.conv_transpose2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-    def state_arrays(self):
-        out = [("weight", self.weight.data)]
-        if self.bias is not None:
-            out.append(("bias", self.bias.data))
-        return out
-
-    def load_state_arrays(self, get):
-        self.weight.data[...] = get("weight")
-        if self.bias is not None:
-            self.bias.data[...] = get("bias")
 
 
 def instance_norm(x, gain, shift, eps=1e-5):
@@ -149,25 +130,15 @@ def instance_norm(x, gain, shift, eps=1e-5):
     return from_op(out, (x, gain, shift), bwd)
 
 
-class InstanceNorm:
+class InstanceNorm(Layer):
     def __init__(self, channels, eps=1e-5):
-        self.channels = channels
         self.eps = eps
         self.gain = Tensor(np.ones(channels), requires_grad=True)
         self.shift = Tensor(np.zeros(channels), requires_grad=True)
-
-    def params(self):
-        return [self.gain, self.shift]
+        self.tensors = [("gain", self.gain), ("shift", self.shift)]
 
     def forward(self, x, train=False):
         return instance_norm(x, self.gain, self.shift, eps=self.eps)
-
-    def state_arrays(self):
-        return [("gain", self.gain.data), ("shift", self.shift.data)]
-
-    def load_state_arrays(self, get):
-        self.gain.data[...] = get("gain")
-        self.shift.data[...] = get("shift")
 
 
 def relu_family(x, kind="relu", alpha=0.0):
@@ -187,35 +158,17 @@ def relu_family(x, kind="relu", alpha=0.0):
     return from_op(out, (x,), bwd)
 
 
-class ReLU:
-    def params(self):
-        return []
-
+class ReLU(Layer):
     def forward(self, x, train=False):
         return relu_family(x, "relu")
 
-    def state_arrays(self):
-        return []
 
-    def load_state_arrays(self, get):
-        pass
-
-
-class LeakyReLU:
+class LeakyReLU(Layer):
     def __init__(self, alpha=0.2):
         self.alpha = alpha
 
-    def params(self):
-        return []
-
     def forward(self, x, train=False):
         return relu_family(x, "leaky", alpha=self.alpha)
-
-    def state_arrays(self):
-        return []
-
-    def load_state_arrays(self, get):
-        pass
 
 
 class RReLUConfig:
@@ -250,13 +203,10 @@ def rrelu_forward(x, cfg, rng, train=False):
     return from_op(out, (x,), bwd)
 
 
-class RReLU:
+class RReLU(Layer):
     def __init__(self, cfg=None, seed=0):
         self.cfg = cfg or RReLUConfig()
         self.rng = np.random.default_rng(seed)
-
-    def params(self):
-        return []
 
     def forward(self, x, train=False):
         return rrelu_forward(x, self.cfg, self.rng, train=train)
@@ -270,7 +220,7 @@ class RReLU:
         self.rng = rng_state_from_array(get("rng"))
 
 
-class KWinners:
+class KWinners(Layer):
     """K-winner-take-all activation with duty-cycle boosting.
 
     Competes per sample across all units of the layer (channels x spatial,
@@ -280,7 +230,8 @@ class KWinners:
     are updated as an exponential moving average of the winner indicator.
     Eval mode is a pure top-k on raw values with frozen duty cycles.
 
-    Unit count binds on first forward; k defaults to ceil(k_frac * n).
+    Unit count binds on first forward; k defaults to ceil(k_frac * n).  An
+    eval forward over another unit count m keeps ceil(k * m / n) winners.
     """
 
     def __init__(self, k=None, k_frac=0.3, boost_strength=1.5, duty_period=1000):
@@ -300,9 +251,6 @@ class KWinners:
         if not 1 <= self.k <= n:
             raise ValueError("require 1 <= k <= n, got k=%d n=%d" % (self.k, n))
         self.duty_cycle = np.zeros(n)
-
-    def params(self):
-        return []
 
     def forward(self, x, train=False):
         return kwinners_forward(x, self, train=train)
@@ -332,19 +280,17 @@ def kwinners_forward(x, state, train=False):
     n = flat.shape[1]
     if state.n is None:
         state._bind(n)
+    k = state.k
     if n != state.n:
         if train:
             raise ValueError("unit count %d does not match bound layer size %d" % (n, state.n))
-        k = min(math.ceil(state.k_frac * n) if state.k is None else state.k, n)
-        duty = np.zeros(n)
-    else:
-        k = state.k
-        duty = state.duty_cycle
+        # another unit count keeps the bound layer's share of winners
+        k = -(-state.k * n // state.n)
     if k > n:
         raise ValueError("k=%d exceeds unit count n=%d" % (k, n))
 
     if train and state.boost_strength > 0:
-        scores = flat * np.exp(state.boost_strength * (k / n - duty))[None, :]
+        scores = flat * np.exp(state.boost_strength * (k / n - state.duty_cycle))[None, :]
     else:
         scores = flat
 
@@ -355,9 +301,8 @@ def kwinners_forward(x, state, train=False):
     keep[rows, order] = 1.0
     out = Tensor((flat * keep).reshape(x.data.shape))
 
-    if train and n == state.n:
-        indicator = keep.mean(axis=0)
-        kwinners_update_duty_cycle(state, indicator)
+    if train:
+        kwinners_update_duty_cycle(state, keep.mean(axis=0))
 
     def bwd(g):
         accumulate_grad(x, (g.reshape(B, -1) * keep).reshape(x.data.shape))
@@ -396,12 +341,6 @@ class ResidualBlock:
     def sublayers(self):
         return [("conv1", self.conv1), ("norm1", self.norm1), ("act", self.act),
                 ("conv2", self.conv2), ("norm2", self.norm2)]
-
-    def params(self):
-        out = []
-        for _, sub in self.sublayers():
-            out.extend(sub.params())
-        return out
 
     def forward(self, x, train=False):
         h = self.conv1.forward(x, train)

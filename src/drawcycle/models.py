@@ -16,8 +16,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .layers import (
-    Conv2d, ConvTranspose2d, InstanceNorm, KWinners, LeakyReLU, ReLU, RReLU,
-    ResidualBlock, SparseConv2d,
+    Conv2d, ConvTranspose2d, InstanceNorm, KWinners, Layer, LeakyReLU, ReLU,
+    RReLU, ResidualBlock, SparseConv2d,
 )
 
 GENERATOR_VARIANTS = ("dense_relu", "sparse_kwinners")
@@ -35,35 +35,27 @@ def gaussian_samples(rng, shape, std):
     return (std * z).reshape(shape)
 
 
-class _Tanh:
-    def params(self):
-        return []
-
+class _Tanh(Layer):
     def forward(self, x, train=False):
         return ag.tanh(x)
 
-    def state_arrays(self):
-        return []
 
-    def load_state_arrays(self, get):
-        pass
-
-
-class _ReflectPad:
+class _ReflectPad(Layer):
     def __init__(self, pad):
         self.pad = pad
-
-    def params(self):
-        return []
 
     def forward(self, x, train=False):
         return ag.reflect_pad(x, self.pad)
 
-    def state_arrays(self):
-        return []
 
-    def load_state_arrays(self, get):
-        pass
+def _leaves(layers, prefix=""):
+    """(dotted name, layer) pairs, descending into any layer with
+    ``sublayers()``."""
+    for name, layer in layers:
+        if hasattr(layer, "sublayers"):
+            yield from _leaves(layer.sublayers(), prefix + name + ".")
+        else:
+            yield prefix + name, layer
 
 
 class _Net:
@@ -77,12 +69,7 @@ class _Net:
         return layer
 
     def named_layers(self):
-        for name, layer in self.layers:
-            if isinstance(layer, ResidualBlock):
-                for sub, obj in layer.sublayers():
-                    yield "%s.%s" % (name, sub), obj
-            else:
-                yield name, layer
+        return _leaves(self.layers)
 
     def params(self):
         out = []
@@ -223,24 +210,6 @@ class DiscriminatorNet(_Net):
         if H < 24 or W < 24:
             raise ValueError("input (%d, %d) too small for the patch classifier" % (H, W))
         return super().forward(x, train)
-
-
-def build_generator(width=64, n_res=12, variant="dense_relu", in_channels=1,
-                    out_channels=1, weight_sparsity=0.5, kwinners_cfg=None, seed=0):
-    return GeneratorNet(in_channels, out_channels, width, n_res, variant,
-                        weight_sparsity=weight_sparsity, kwinners_cfg=kwinners_cfg, seed=seed)
-
-
-def build_discriminator(width=64, activation="rrelu", in_channels=1, leaky_alpha=0.2, seed=0):
-    return DiscriminatorNet(in_channels, width, activation, leaky_alpha=leaky_alpha, seed=seed)
-
-
-def generator_forward(net, x, train=False):
-    return net.forward(x, train=train)
-
-
-def discriminator_forward(net, x, train=False):
-    return net.forward(x, train=train)
 
 
 def init_weights(net, seed):

@@ -14,7 +14,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tape, Tensor
 from .data import image_to_net
-from .models import build_discriminator, build_generator
+from .models import DiscriminatorNet, GeneratorNet
 from .objectives import (
     LossBundle, cycle_consistency_loss, gan_loss_discriminator,
     gan_loss_generator, identity_loss, total_objective,
@@ -57,7 +57,6 @@ class TrainConfig:
     pool_size: int = 50
     batch_size: int = 1
     seed: int = 0
-    image_size: int = 64
     channels: int = 1
     saturating_gan: bool = False
     checkpoint_every: int = 0
@@ -241,14 +240,14 @@ class Trainer:
         self.cfg = cfg
         kcfg = {"k_frac": cfg.k_frac, "boost_strength": cfg.boost_strength,
                 "duty_period": cfg.duty_period}
-        self.g_xy = build_generator(cfg.width, cfg.n_res, cfg.variant, cfg.channels,
-                                    cfg.channels, cfg.weight_sparsity, kcfg, seed=cfg.seed * 4 + 1)
-        self.g_yx = build_generator(cfg.width, cfg.n_res, cfg.variant, cfg.channels,
-                                    cfg.channels, cfg.weight_sparsity, kcfg, seed=cfg.seed * 4 + 2)
-        self.d_x = build_discriminator(cfg.width, cfg.d_activation, cfg.channels,
-                                       seed=cfg.seed * 4 + 3)
-        self.d_y = build_discriminator(cfg.width, cfg.d_activation, cfg.channels,
-                                       seed=cfg.seed * 4 + 4)
+        gen = dict(in_channels=cfg.channels, out_channels=cfg.channels, width=cfg.width,
+                   n_res=cfg.n_res, variant=cfg.variant, weight_sparsity=cfg.weight_sparsity,
+                   kwinners_cfg=kcfg)
+        disc = dict(in_channels=cfg.channels, width=cfg.width, activation=cfg.d_activation)
+        self.g_xy = GeneratorNet(seed=cfg.seed * 4 + 1, **gen)
+        self.g_yx = GeneratorNet(seed=cfg.seed * 4 + 2, **gen)
+        self.d_x = DiscriminatorNet(seed=cfg.seed * 4 + 3, **disc)
+        self.d_y = DiscriminatorNet(seed=cfg.seed * 4 + 4, **disc)
         self.opt_g = Adam(self.g_xy.params() + self.g_yx.params(),
                           cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
         self.opt_dx = Adam(self.d_x.params(), cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
@@ -391,30 +390,30 @@ class Trainer:
         entries = read_entries(path)
         if entries.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError("%s: unsupported checkpoint version" % (path,))
-        cfg = TrainConfig.from_text(entries["config"].decode("utf-8"))
-        if expect_cfg is not None:
-            for name in ("width", "n_res", "variant", "d_activation", "channels"):
-                got, want = getattr(cfg, name), getattr(expect_cfg, name)
-                if got != want:
-                    raise CheckpointError(
-                        "%s: checkpoint %s=%r does not match configured %r" % (path, name, got, want))
-        trainer = cls(cfg)
-        trainer.epoch = int(entries["epoch"])
-        trainer.step_count = int(entries["step_count"])
         try:
+            cfg = TrainConfig.from_text(entries["config"].decode("utf-8"))
+            if expect_cfg is not None:
+                for name in ("width", "n_res", "variant", "d_activation", "channels"):
+                    got, want = getattr(cfg, name), getattr(expect_cfg, name)
+                    if got != want:
+                        raise CheckpointError("%s: checkpoint %s=%r does not match configured %r"
+                                              % (path, name, got, want))
+            trainer = cls(cfg)
+            trainer.epoch = int(entries["epoch"])
+            trainer.step_count = int(entries["step_count"])
             for prefix, net in trainer._named_nets():
                 net.load_state_entries(entries, prefix + ".")
+            trainer.opt_g.load_state_entries(entries, "opt_g")
+            trainer.opt_dx.load_state_entries(entries, "opt_dx")
+            trainer.opt_dy.load_state_entries(entries, "opt_dy")
+            for name, pool in (("pool_x", trainer.pool_x), ("pool_y", trainer.pool_y)):
+                imgs = entries["%s.images" % name]
+                pool.images = [imgs[i].copy() for i in range(imgs.shape[0])] if imgs.size else []
+                pool.rng = rng_state_from_array(entries["%s.rng" % name])
+            trainer.rng_x = rng_state_from_array(entries["rng_x"])
+            trainer.rng_y = rng_state_from_array(entries["rng_y"])
         except (KeyError, ValueError) as exc:
             raise CheckpointError("%s: %s" % (path, exc))
-        trainer.opt_g.load_state_entries(entries, "opt_g")
-        trainer.opt_dx.load_state_entries(entries, "opt_dx")
-        trainer.opt_dy.load_state_entries(entries, "opt_dy")
-        for name, pool in (("pool_x", trainer.pool_x), ("pool_y", trainer.pool_y)):
-            imgs = entries["%s.images" % name]
-            pool.images = [imgs[i].copy() for i in range(imgs.shape[0])] if imgs.size else []
-            pool.rng = rng_state_from_array(entries["%s.rng" % name])
-        trainer.rng_x = rng_state_from_array(entries["rng_x"])
-        trainer.rng_y = rng_state_from_array(entries["rng_y"])
         return trainer
 
 

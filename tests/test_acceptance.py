@@ -19,7 +19,7 @@ from drawcycle.cli import main as cli_main
 from drawcycle.data import SynthConfig, image_to_net, net_to_image, synth_generate
 from drawcycle.layers import KWinners, SparseConv2d, instance_norm
 from drawcycle.metrics import psnr_mse_consistent, ssim
-from drawcycle.models import build_discriminator, build_generator
+from drawcycle.models import DiscriminatorNet, GeneratorNet
 from drawcycle.objectives import (
     cycle_consistency_loss, gan_loss_discriminator, gan_loss_generator,
     identity_loss, total_objective,
@@ -49,7 +49,6 @@ def desk_config(preset="finetuned", seed=0):
     cfg.n_res = 3
     cfg.epochs_total = 20
     cfg.epochs_const = 10
-    cfg.image_size = 64
     cfg.seed = seed
     return cfg.validate()
 
@@ -243,11 +242,11 @@ def test_criterion_1_gradient_suite():
 
     # full 16x16 / width-4 / n_res-1 networks, every parameter element
     xin = rng.uniform(-0.5, 0.5, size=(1, 1, 16, 16))
-    gen = build_generator(width=4, n_res=1, variant="dense_relu", seed=1)
+    gen = GeneratorNet(width=4, n_res=1, variant="dense_relu", seed=1)
     worst = max(worst, _fd_check_params(gen, xin, gen.params()))
     # the patch stack needs >= 24 px of input to keep all five layers live
     xdisc = rng.uniform(-0.5, 0.5, size=(1, 1, 24, 24))
-    disc = build_discriminator(width=4, activation="leaky", seed=2)
+    disc = DiscriminatorNet(width=4, activation="leaky", seed=2)
     worst = max(worst, _fd_check_params(disc, xdisc, disc.params()))
 
     elapsed = time.perf_counter() - t0

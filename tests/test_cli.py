@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from drawcycle.cli import main
-from drawcycle.data import load_pgm
+from drawcycle.data import load_pgm, save_pgm
+from drawcycle.metrics import evaluate_dataset, report_to_csv
 from drawcycle.training import TrainConfig
 
 
 def write_config(path, **overrides):
-    base = dict(width=2, n_res=1, image_size=32, epochs_total=1,
-                epochs_const=1, pool_size=4)
+    base = dict(width=2, n_res=1, epochs_total=1, epochs_const=1, pool_size=4)
     base.update(overrides)
     cfg = TrainConfig(**base)
     path.write_text(cfg.to_text())
@@ -164,6 +164,38 @@ class TestEvaluate:
                    "--out", str(tmp_path / "r.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_pairs_by_name(self, tmp_path):
+        rng = np.random.default_rng(3)
+        a, b = (rng.integers(0, 256, size=(32, 32)).astype(np.uint8) for _ in range(2))
+        tr, ref = tmp_path / "tr", tmp_path / "ref"
+        tr.mkdir()
+        ref.mkdir()
+        # same names, swapped contents: each image is scored against the
+        # reference of its own name
+        for d, first, second in ((tr, a, b), (ref, b, a)):
+            save_pgm(first, str(d / "0000.pgm"))
+            save_pgm(second, str(d / "0001.pgm"))
+        out = tmp_path / "r.csv"
+        assert main(["evaluate", "--translated", str(tr), "--reference", str(ref),
+                     "--out", str(out)]) == 0
+        want = evaluate_dataset([a, b], [b, a], ids=["0000", "0001"])
+        assert out.read_text() == report_to_csv(want)
+
+    def test_name_mismatch_fails(self, tmp_path, capsys):
+        img = np.zeros((32, 32), dtype=np.uint8)
+        tr, ref = tmp_path / "tr", tmp_path / "ref"
+        tr.mkdir()
+        ref.mkdir()
+        for d, names in ((tr, ("0000.pgm", "0001.pgm")), (ref, ("0001.pgm", "zzz.pgm"))):
+            for name in names:
+                save_pgm(img, str(d / name))
+        rc = main(["evaluate", "--translated", str(tr), "--reference", str(ref),
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "0000.pgm" in err and "zzz.pgm" in err
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestCurves:

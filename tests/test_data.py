@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from drawcycle.data import (
-    Dataset, PGMError, SynthConfig, augment, draw_circle, draw_line, draw_rect,
-    hflip, image_to_net, load_corpus, load_pgm, make_splits, net_to_image,
-    render_pair, save_pgm, synth_generate, translate, write_corpus,
+    Dataset, PGMError, SynthConfig, draw_circle, draw_line, draw_rect,
+    image_to_net, load_corpus, load_pgm, make_splits, net_to_image,
+    render_pair, save_pgm, synth_generate, write_corpus,
 )
 
 
@@ -167,37 +167,6 @@ class TestSynthGenerate:
             synth_generate(SynthConfig(image_size=30))
         with pytest.raises(ValueError):
             synth_generate(SynthConfig(n_train=0))
-
-
-class TestAugment:
-    def test_hflip_involution(self):
-        img = np.random.default_rng(0).integers(0, 256, size=(8, 8)).astype(np.uint8)
-        assert np.array_equal(hflip(hflip(img)), img)
-
-    def test_translate_moves_content(self):
-        img = np.zeros((5, 5), dtype=np.uint8)
-        img[2, 2] = 255
-        out = translate(img, 1, -1)
-        assert out[3, 1] == 255
-        assert out.sum() == 255
-
-    def test_translate_fills_border(self):
-        img = np.full((4, 4), 9, dtype=np.uint8)
-        out = translate(img, 2, 0)
-        assert np.all(out[:2] == 0)
-        assert np.all(out[2:] == 9)
-
-    def test_augment_deterministic_for_seed(self):
-        img = np.random.default_rng(1).integers(0, 256, size=(16, 16)).astype(np.uint8)
-        a = augment(img, np.random.default_rng(9))
-        b = augment(img, np.random.default_rng(9))
-        assert np.array_equal(a, b)
-
-    def test_augment_preserves_shape_and_values(self):
-        img = (np.random.default_rng(2).random((16, 16)) < 0.2).astype(np.uint8) * 255
-        out = augment(img, np.random.default_rng(3))
-        assert out.shape == img.shape
-        assert set(np.unique(out)) <= {0, 255}
 
 
 class TestCorpusIO:

@@ -234,6 +234,17 @@ class TestKWinners:
             assert np.all((flat != 0).sum(axis=1) == 5)
             assert np.all(t.grad.reshape(2, -1)[flat == 0] == 0.0)
 
+    def test_eval_at_other_size_keeps_fraction(self):
+        rng = np.random.default_rng(6)
+        state = KWinners(k_frac=0.3)
+        small = Tensor(rng.normal(size=(1, 4, 32, 32)))
+        kwinners_forward(small, state, train=True)
+        bound = kwinners_forward(small, state).data
+        assert np.count_nonzero(bound) == math.ceil(0.3 * small.size)
+        big = kwinners_forward(Tensor(rng.normal(size=(1, 4, 64, 64))), state).data
+        assert np.count_nonzero(big) / big.size >= 0.29
+        assert np.array_equal(kwinners_forward(small, state).data, bound)
+
     def test_k_too_large_rejected(self):
         state = KWinners(k=5)
         with pytest.raises(ValueError):

@@ -5,9 +5,8 @@ from drawcycle import autograd as ag
 from drawcycle.autograd import Tape, Tensor
 from drawcycle.layers import Conv2d, ConvTranspose2d, KWinners, RReLU, SparseConv2d
 from drawcycle.models import (
-    build_discriminator, build_generator, count_nonzero_weights,
-    discriminator_forward, gaussian_samples, generator_forward, init_weights,
-    output_noise_deviation,
+    DiscriminatorNet, GeneratorNet, count_nonzero_weights, gaussian_samples,
+    init_weights, output_noise_deviation,
 )
 
 from gradcheck import numeric_grad_sample
@@ -16,7 +15,7 @@ from gradcheck import numeric_grad_sample
 def small_gen(**kw):
     kw.setdefault("width", 4)
     kw.setdefault("n_res", 1)
-    return build_generator(**kw)
+    return GeneratorNet(**kw)
 
 
 class TestGaussianSamples:
@@ -36,28 +35,28 @@ class TestGeneratorShape:
     def test_preserves_shape_and_range(self, variant):
         net = small_gen(variant=variant, seed=1)
         x = Tensor(np.random.default_rng(0).uniform(-1, 1, size=(2, 1, 16, 16)))
-        out = generator_forward(net, x)
+        out = net.forward(x)
         assert out.data.shape == (2, 1, 16, 16)
         assert np.all(out.data > -1.0) and np.all(out.data < 1.0)
 
     def test_larger_input_accepted(self):
         net = small_gen(seed=2)
         x = Tensor(np.zeros((1, 1, 32, 24)))
-        assert generator_forward(net, x).data.shape == (1, 1, 32, 24)
+        assert net.forward(x).data.shape == (1, 1, 32, 24)
 
     def test_indivisible_extent_rejected(self):
         net = small_gen()
         with pytest.raises(ValueError):
-            generator_forward(net, Tensor(np.zeros((1, 1, 18, 16))))
+            net.forward(Tensor(np.zeros((1, 1, 18, 16))))
 
     def test_wrong_channel_count_rejected(self):
         net = small_gen()
         with pytest.raises(ValueError):
-            generator_forward(net, Tensor(np.zeros((1, 3, 16, 16))))
+            net.forward(Tensor(np.zeros((1, 3, 16, 16))))
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            build_generator(width=4, n_res=1, variant="dense_kwinners")
+            GeneratorNet(width=4, n_res=1, variant="dense_kwinners")
 
 
 class TestGeneratorVariants:
@@ -97,31 +96,31 @@ class TestGeneratorVariants:
 
 class TestDiscriminatorShape:
     def test_64_input_gives_6x6(self):
-        net = build_discriminator(width=4, seed=0)
-        out = discriminator_forward(net, Tensor(np.zeros((1, 1, 64, 64))))
+        net = DiscriminatorNet(width=4, seed=0)
+        out = net.forward(Tensor(np.zeros((1, 1, 64, 64))))
         assert out.data.shape == (1, 1, 6, 6)
 
     def test_256_input_gives_30x30(self):
-        net = build_discriminator(width=2, seed=0)
-        out = discriminator_forward(net, Tensor(np.zeros((1, 1, 256, 256))))
+        net = DiscriminatorNet(width=2, seed=0)
+        out = net.forward(Tensor(np.zeros((1, 1, 256, 256))))
         assert out.data.shape == (1, 1, 30, 30)
 
     def test_small_input_rejected(self):
-        net = build_discriminator(width=4)
+        net = DiscriminatorNet(width=4)
         for size in (8, 16, 23):
             with pytest.raises(ValueError):
-                discriminator_forward(net, Tensor(np.zeros((1, 1, size, size))))
+                net.forward(Tensor(np.zeros((1, 1, size, size))))
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError):
-            build_discriminator(width=4, activation="gelu")
+            DiscriminatorNet(width=4, activation="gelu")
 
     def test_leaky_variant_builds(self):
-        net = build_discriminator(width=4, activation="leaky")
+        net = DiscriminatorNet(width=4, activation="leaky")
         assert not any(isinstance(l, RReLU) for _, l in net.named_layers())
 
     def test_rrelu_variant_uses_rrelu(self):
-        net = build_discriminator(width=4, activation="rrelu")
+        net = DiscriminatorNet(width=4, activation="rrelu")
         assert sum(isinstance(l, RReLU) for _, l in net.named_layers()) == 4
 
 
@@ -131,7 +130,7 @@ class TestPatchLocality:
         # cell, away from border effects; the per-image normalizers are
         # stubbed out because their crop-dependent statistics mask the
         # geometric property under test
-        net = build_discriminator(width=4, activation="leaky", seed=6)
+        net = DiscriminatorNet(width=4, activation="leaky", seed=6)
 
         class _Identity:
             def forward(self, x, train=False):
@@ -141,8 +140,8 @@ class TestPatchLocality:
                       for n, l in net.layers]
         rng = np.random.default_rng(8)
         big = rng.uniform(-1, 1, size=(1, 1, 136, 128))
-        out_a = discriminator_forward(net, Tensor(big[:, :, :128, :])).data
-        out_b = discriminator_forward(net, Tensor(big[:, :, 8:, :])).data
+        out_a = net.forward(Tensor(big[:, :, :128, :])).data
+        out_b = net.forward(Tensor(big[:, :, 8:, :])).data
         # stride product of the three stride-2 layers is 8, i.e. one cell
         inner_a = out_a[:, :, 6:-5, 5:-5]
         inner_b = out_b[:, :, 5:-6, 5:-5]
@@ -152,7 +151,7 @@ class TestPatchLocality:
 
 class TestInitWeights:
     def test_statistics(self):
-        net = build_generator(width=16, n_res=2, seed=9)
+        net = GeneratorNet(width=16, n_res=2, seed=9)
         ws = np.concatenate([
             l.weight.data.ravel() for _, l in net.named_layers()
             if isinstance(l, (Conv2d, ConvTranspose2d))])
@@ -188,19 +187,19 @@ class TestInitWeights:
 
 
 class TestWholeNetGradients:
-    def _check(self, net, forward, size=16):
+    def _check(self, net, size=16):
         rng = np.random.default_rng(20)
         x = rng.uniform(-0.5, 0.5, size=(1, 1, size, size))
 
         tape = Tape()
         with tape:
             t = Tensor(x, requires_grad=True)
-            loss = ag.mean(forward(net, t))
+            loss = ag.mean(net.forward(t))
         ag.backward(loss, tape)
 
         def f(xv):
             with Tape():
-                return ag.mean(forward(net, Tensor(xv))).item()
+                return ag.mean(net.forward(Tensor(xv))).item()
 
         idx = rng.choice(x.size, size=12, replace=False)
         num = numeric_grad_sample(f, x, idx)
@@ -214,14 +213,14 @@ class TestWholeNetGradients:
             p.grad = None
         tape = Tape()
         with tape:
-            loss = ag.mean(forward(net, Tensor(x)))
+            loss = ag.mean(net.forward(Tensor(x)))
         ag.backward(loss, tape)
         widx = rng.choice(w0.size, size=8, replace=False)
 
         def fw(wv):
             conv.weight.data[...] = wv
             with Tape():
-                v = ag.mean(forward(net, Tensor(x))).item()
+                v = ag.mean(net.forward(Tensor(x))).item()
             conv.weight.data[...] = w0
             return v
 
@@ -230,11 +229,11 @@ class TestWholeNetGradients:
         assert np.max(np.abs(ana_w - num_w) / np.maximum(1e-3, np.abs(num_w))) < 2e-3
 
     def test_generator_gradcheck(self):
-        self._check(small_gen(seed=21), generator_forward)
+        self._check(small_gen(seed=21))
 
     def test_discriminator_gradcheck(self):
-        net = build_discriminator(width=4, activation="leaky", seed=22)
-        self._check(net, discriminator_forward, size=32)
+        net = DiscriminatorNet(width=4, activation="leaky", seed=22)
+        self._check(net, size=32)
 
 
 class TestNoiseDeviation:

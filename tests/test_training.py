@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from drawcycle import autograd as ag
 from drawcycle.autograd import Tape, Tensor
 from drawcycle.data import SynthConfig, synth_generate
-from drawcycle.serialize import CheckpointError
+from drawcycle.serialize import CheckpointError, read_entries, write_entries
 from drawcycle.training import (
     Adam, AdamState, ImagePool, TrainConfig, Trainer, TrainingDiverged,
     adam_step, history_to_csv, lr_at_epoch, preset_config,
@@ -14,7 +16,6 @@ from drawcycle.training import (
 def tiny_config(**kw):
     kw.setdefault("width", 2)
     kw.setdefault("n_res", 1)
-    kw.setdefault("image_size", 32)
     kw.setdefault("epochs_total", 1)
     kw.setdefault("epochs_const", 1)
     kw.setdefault("pool_size", 4)
@@ -325,6 +326,31 @@ class TestCheckpoint:
         p.write_bytes(b"not a checkpoint")
         with pytest.raises(CheckpointError):
             Trainer.checkpoint_load(str(p))
+
+    def test_missing_optimizer_entry_rejected(self, tmp_path):
+        tr, _ = self._short_trainer()
+        path = str(tmp_path / "m.ckpt")
+        tr.checkpoint_save(path)
+        entries = read_entries(path)
+        del entries["opt_g.t"]
+        write_entries(path, list(entries.items()))
+        with pytest.raises(CheckpointError, match="opt_g.t"):
+            Trainer.checkpoint_load(path)
+
+    def test_fresh_entries_pinned(self, tmp_path):
+        # names, order and bytes of every entry but the config text of a
+        # freshly built seeded trainer: a renamed or reordered entry, or a
+        # change to the order of initialization, changes the hash
+        cfg = preset_config("finetuned")
+        cfg.width, cfg.n_res, cfg.pool_size = 2, 1, 4
+        path = str(tmp_path / "fresh.ckpt")
+        Trainer(cfg.validate()).checkpoint_save(path)
+        h = hashlib.sha256()
+        for name, value in read_entries(path).items():
+            if name != "config":
+                h.update(name.encode("utf-8"))
+                h.update(value if isinstance(value, bytes) else value.tobytes())
+        assert h.hexdigest() == "1a391544991126d994c68c4988661890d6da3d1cfbfac0863debd372c779b585"
 
     def test_sparse_variant_round_trip(self, tmp_path):
         tr, ds = self._short_trainer(seed=8, variant="sparse_kwinners",
