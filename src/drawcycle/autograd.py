@@ -217,115 +217,110 @@ def softplus(a):
 
 
 # ---------------------------------------------------------------------------
-# convolution kernels (im2col / col2im)
+# convolution kernels (im2col / col2im), shared by conv2d and its adjoint
+# conv_transpose2d.  Names follow conv2d: image side (B, C, H, W), column side
+# (B, O, Ho, Wo), weight (O, C, K, K).
 
-def _im2col_view(xpad, K, stride, Ho, Wo):
-    B, C, Hp, Wp = xpad.shape
+def _conv_args(name, x, weight, bias, stride, padding, transpose):
+    """Check a (transposed) convolution's arguments; returns the tensors and
+    the extents (B, C, H, W, O, K, Ho, Wo)."""
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    if x.data.ndim != 4 or weight.data.ndim != 4:
+        raise ValueError("%s expects BCHW input and OIKK weight" % name)
+    B, cin, Hx, Wx = x.data.shape
+    O, C, K, K2 = weight.data.shape
+    if K != K2:
+        raise ValueError("%s kernels must be square" % name)
+    cw, cout = (O, C) if transpose else (C, O)
+    if cin != cw:
+        raise ValueError("%s channel mismatch: input %d vs weight %d" % (name, cin, cw))
+    if transpose:
+        Ho, Wo = Hx, Wx
+        H, W = ((n - 1) * stride - 2 * padding + K for n in (Ho, Wo))
+    else:
+        H, W = Hx, Wx
+        Ho, Wo = ((n + 2 * padding - K) // stride + 1 for n in (H, W))
+    if min(H, W, Ho, Wo) < 1:
+        raise ValueError("%s output extent is empty for input %s" % (name, x.data.shape))
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.data.shape != (cout,):
+            raise ValueError("%s bias must have shape (%d,)" % (name, cout))
+    return x, weight, bias, (B, C, H, W, O, K, Ho, Wo)
+
+
+def _im2col(img, K, stride, padding, Ho, Wo):
+    """Zero-pad a (B, C, H, W) image and gather its K x K patches as
+    contiguous (B, C*K*K, Ho*Wo) columns."""
+    xpad = np.pad(img, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else img
+    B, C = xpad.shape[:2]
     sB, sC, sH, sW = xpad.strides
-    shape = (B, C, K, K, Ho, Wo)
-    strides = (sB, sC, sH, sW, sH * stride, sW * stride)
-    return np.lib.stride_tricks.as_strided(xpad, shape=shape, strides=strides)
+    view = np.lib.stride_tricks.as_strided(
+        xpad, shape=(B, C, K, K, Ho, Wo), strides=(sB, sC, sH, sW, sH * stride, sW * stride))
+    return np.ascontiguousarray(view).reshape(B, C * K * K, Ho * Wo)
 
 
-def _col2im(cols6, B, C, Hp, Wp, K, stride, Ho, Wo):
-    xp = np.zeros((B, C, Hp, Wp))
+def _col2im(cols, C, H, W, K, stride, padding, Ho, Wo):
+    """Scatter-add (B, C*K*K, Ho*Wo) columns back onto the padded image and
+    crop the padding: the adjoint of ``_im2col``."""
+    B = cols.shape[0]
+    cols6 = cols.reshape(B, C, K, K, Ho, Wo)
+    xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
     for i in range(K):
         for j in range(K):
             xp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += cols6[:, :, i, j]
-    return xp
+    return xp[:, :, padding:padding + H, padding:padding + W] if padding else xp
+
+
+def _accumulate_weight_bias(weight, bias, gm, cols, g):
+    """Weight gradient from column-side gradients ``gm`` (B, O, Ho*Wo) and
+    image columns ``cols``; bias gradient from the output gradient ``g``."""
+    if weight.requires_grad:
+        gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
+        accumulate_grad(weight, gw.reshape(weight.data.shape))
+    if bias is not None and bias.requires_grad:
+        accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0):
     """Cross-correlation of a BCHW input with an OIKK kernel."""
-    x, weight = _as_tensor(x), _as_tensor(weight)
-    if x.data.ndim != 4 or weight.data.ndim != 4:
-        raise ValueError("conv2d expects BCHW input and OIKK weight")
-    B, C, H, W = x.data.shape
-    O, I, K, K2 = weight.data.shape
-    if K != K2:
-        raise ValueError("conv2d kernels must be square")
-    if C != I:
-        raise ValueError("conv2d channel mismatch: input %d vs weight %d" % (C, I))
-    Ho = (H + 2 * padding - K) // stride + 1
-    Wo = (W + 2 * padding - K) // stride + 1
-    if Ho < 1 or Wo < 1 or H + 2 * padding < K or W + 2 * padding < K:
-        raise ValueError("conv2d output extent is empty for input %s" % (x.data.shape,))
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.data.shape != (O,):
-            raise ValueError("conv2d bias must have shape (O,)")
-
-    xpad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    cols = np.ascontiguousarray(_im2col_view(xpad, K, stride, Ho, Wo)).reshape(B, C * K * K, Ho * Wo)
+    x, weight, bias, (B, C, H, W, O, K, Ho, Wo) = _conv_args(
+        "conv2d", x, weight, bias, stride, padding, transpose=False)
+    cols = _im2col(x.data, K, stride, padding, Ho, Wo)
     wm = weight.data.reshape(O, C * K * K)
     out_data = np.matmul(wm, cols).reshape(B, O, Ho, Wo)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, O, 1, 1)
     out = Tensor(out_data)
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-
     def bwd(g):
         gm = g.reshape(B, O, Ho * Wo)
-        if weight.requires_grad:
-            gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
-            accumulate_grad(weight, gw.reshape(O, I, K, K))
+        _accumulate_weight_bias(weight, bias, gm, cols, g)
         if x.requires_grad:
-            gcols = np.matmul(wm.T, gm).reshape(B, C, K, K, Ho, Wo)
-            gxp = _col2im(gcols, B, C, H + 2 * padding, W + 2 * padding, K, stride, Ho, Wo)
-            gx = gxp[:, :, padding:padding + H, padding:padding + W] if padding else gxp
-            accumulate_grad(x, gx)
-        if bias is not None and bias.requires_grad:
-            accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
+            accumulate_grad(x, _col2im(np.matmul(wm.T, gm), C, H, W, K, stride, padding, Ho, Wo))
 
-    return from_op(out, inputs, bwd)
+    return from_op(out, (x, weight) if bias is None else (x, weight, bias), bwd)
 
 
 def conv_transpose2d(x, weight, bias=None, stride=1, padding=0):
     """Fractionally-strided convolution; the adjoint of conv2d with the
     same OIKK weight (maps O channels back to I channels)."""
-    x, weight = _as_tensor(x), _as_tensor(weight)
-    if x.data.ndim != 4 or weight.data.ndim != 4:
-        raise ValueError("conv_transpose2d expects BCHW input and OIKK weight")
-    B, O, Ho, Wo = x.data.shape
-    O2, I, K, K2 = weight.data.shape
-    if K != K2:
-        raise ValueError("conv_transpose2d kernels must be square")
-    if O != O2:
-        raise ValueError("conv_transpose2d channel mismatch: input %d vs weight %d" % (O, O2))
-    H = (Ho - 1) * stride - 2 * padding + K
-    W = (Wo - 1) * stride - 2 * padding + K
-    if H < 1 or W < 1:
-        raise ValueError("conv_transpose2d output extent is empty")
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.data.shape != (I,):
-            raise ValueError("conv_transpose2d bias must have shape (I,)")
-
-    wm = weight.data.reshape(O, I * K * K)
+    x, weight, bias, (B, C, H, W, O, K, Ho, Wo) = _conv_args(
+        "conv_transpose2d", x, weight, bias, stride, padding, transpose=True)
+    wm = weight.data.reshape(O, C * K * K)
     xm = x.data.reshape(B, O, Ho * Wo)
-    cols6 = np.matmul(wm.T, xm).reshape(B, I, K, K, Ho, Wo)
-    outp = _col2im(cols6, B, I, H + 2 * padding, W + 2 * padding, K, stride, Ho, Wo)
-    out_data = outp[:, :, padding:padding + H, padding:padding + W] if padding else outp
+    out_data = _col2im(np.matmul(wm.T, xm), C, H, W, K, stride, padding, Ho, Wo)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, I, 1, 1)
+        out_data = out_data + bias.data.reshape(1, C, 1, 1)
     out = Tensor(np.ascontiguousarray(out_data))
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-
     def bwd(g):
-        gpad = np.pad(g, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else g
-        gcols = np.ascontiguousarray(_im2col_view(gpad, K, stride, Ho, Wo)).reshape(B, I * K * K, Ho * Wo)
+        gcols = _im2col(g, K, stride, padding, Ho, Wo)
         if x.requires_grad:
-            gx = np.matmul(wm, gcols).reshape(B, O, Ho, Wo)
-            accumulate_grad(x, gx)
-        if weight.requires_grad:
-            gw = np.matmul(xm, gcols.transpose(0, 2, 1)).sum(axis=0)
-            accumulate_grad(weight, gw.reshape(O, I, K, K))
-        if bias is not None and bias.requires_grad:
-            accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
+            accumulate_grad(x, np.matmul(wm, gcols).reshape(B, O, Ho, Wo))
+        _accumulate_weight_bias(weight, bias, xm, gcols, g)
 
-    return from_op(out, inputs, bwd)
+    return from_op(out, (x, weight) if bias is None else (x, weight, bias), bwd)
 
 
 def reflect_pad(x, pad):

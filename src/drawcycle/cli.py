@@ -3,7 +3,7 @@ evaluation, loss-curve rendering, and the noise-robustness comparison.
 
 Every command is deterministic given identical inputs and seeds; a run
 manifest sufficient to reproduce a training run is written atomically at
-run end.
+run end, also when the run fails.
 """
 
 import argparse
@@ -50,28 +50,34 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     trainer = Trainer(cfg)
-    ckpt_paths = trainer.run(dataset, checkpoint_dir=args.out)
-    final_ckpt = None
+    try:
+        ckpt_paths = trainer.run(dataset, checkpoint_dir=args.out)
+    except Exception as exc:
+        # keep the completed epochs' losses and record the failure
+        _write_run_record(args, trainer, started, [], "failed: %s" % (exc,))
+        raise
     if trainer.epoch > 0:
         final_ckpt = os.path.join(args.out, "final.ckpt")
         trainer.checkpoint_save(final_ckpt)
         ckpt_paths.append(final_ckpt)
-    losses_path = os.path.join(args.out, "losses.csv")
-    _write_atomic(losses_path, history_to_csv(trainer.history))
-    finished = time.strftime("%Y-%m-%dT%H:%M:%S")
-    manifest = []
-    manifest.append("started = %s" % started)
-    manifest.append("finished = %s" % finished)
-    manifest.append("data = %s" % os.path.abspath(args.data))
-    manifest.append("epochs_completed = %d" % trainer.epoch)
-    manifest.append("losses_csv = %s" % os.path.abspath(losses_path))
-    for p in ckpt_paths:
-        manifest.append("checkpoint = %s" % os.path.abspath(p))
-    manifest.append("[config]")
-    manifest.append(cfg.to_text().rstrip())
-    _write_atomic(os.path.join(args.out, "manifest.txt"), "\n".join(manifest) + "\n")
+    _write_run_record(args, trainer, started, ckpt_paths, "completed")
     print("trained %d epochs; outputs in %s" % (trainer.epoch, args.out))
     return 0
+
+
+def _write_run_record(args, trainer, started, ckpt_paths, status):
+    """Write losses.csv and manifest.txt for a completed or failed run."""
+    losses_path = os.path.join(args.out, "losses.csv")
+    _write_atomic(losses_path, history_to_csv(trainer.history))
+    manifest = ["started = %s" % started,
+                "finished = %s" % time.strftime("%Y-%m-%dT%H:%M:%S"),
+                "status = %s" % status,
+                "data = %s" % os.path.abspath(args.data),
+                "epochs_completed = %d" % trainer.epoch,
+                "losses_csv = %s" % os.path.abspath(losses_path)]
+    manifest += ["checkpoint = %s" % os.path.abspath(p) for p in ckpt_paths]
+    manifest += ["[config]", trainer.cfg.to_text().rstrip()]
+    _write_atomic(os.path.join(args.out, "manifest.txt"), "\n".join(manifest) + "\n")
 
 
 def cmd_translate(args):
@@ -182,10 +188,10 @@ def cmd_noise_report(args):
     for label, path in (("a", args.ckpt_a), ("b", args.ckpt_b)):
         trainer = Trainer.checkpoint_load(path)
         dev = output_noise_deviation(trainer.g_xy, images, args.sigma, seed=args.seed)
-        results.append((label, trainer.cfg.variant, path, dev))
-    for label, variant, path, dev in results:
-        print("generator %s (%s, %s): mean output L1 deviation %.6f at sigma %.3f"
-              % (label, variant, path, dev, args.sigma))
+        results.append((label, trainer.cfg.variant, path, trainer.epoch, dev))
+    for label, variant, path, epochs, dev in results:
+        print("generator %s (%s, %s, epochs %d): mean output L1 deviation %.6f at sigma %.3f"
+              % (label, variant, path, epochs, dev, args.sigma))
     return 0
 
 

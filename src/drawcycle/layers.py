@@ -319,24 +319,15 @@ def kwinners_update_duty_cycle(state, winner_indicators):
 
 class ResidualBlock:
     """Two 3x3 convolutions with norms and an activation, plus an identity
-    shortcut: out = x + F(x)."""
+    shortcut: out = x + F(x).  ``conv(cin, cout, kernel, stride, padding)``
+    and ``act()`` build the layers, conv1 before conv2."""
 
-    def __init__(self, channels, sparse=False, weight_sparsity=0.5, mask_seeds=(0, 1),
-                 kwinners_cfg=None, eps=1e-5):
-        conv_kw = dict(kernel=3, stride=1, padding=1)
-        if sparse:
-            self.conv1 = SparseConv2d(channels, channels, weight_sparsity=weight_sparsity,
-                                      mask_seed=mask_seeds[0], **conv_kw)
-            self.conv2 = SparseConv2d(channels, channels, weight_sparsity=weight_sparsity,
-                                      mask_seed=mask_seeds[1], **conv_kw)
-            cfg = kwinners_cfg or {}
-            self.act = KWinners(**cfg)
-        else:
-            self.conv1 = Conv2d(channels, channels, **conv_kw)
-            self.conv2 = Conv2d(channels, channels, **conv_kw)
-            self.act = ReLU()
-        self.norm1 = InstanceNorm(channels, eps=eps)
-        self.norm2 = InstanceNorm(channels, eps=eps)
+    def __init__(self, channels, conv=Conv2d, act=ReLU):
+        self.conv1 = conv(channels, channels, 3, 1, 1)
+        self.conv2 = conv(channels, channels, 3, 1, 1)
+        self.act = act()
+        self.norm1 = InstanceNorm(channels)
+        self.norm2 = InstanceNorm(channels)
 
     def sublayers(self):
         return [("conv1", self.conv1), ("norm1", self.norm1), ("act", self.act),

@@ -11,6 +11,8 @@ The discriminator is a five-layer fully convolutional patch classifier
 (4x4 kernels, 70x70 receptive field) emitting an unbounded logit map.
 """
 
+import itertools
+
 import numpy as np
 
 from . import autograd as ag
@@ -59,7 +61,8 @@ def _leaves(layers, prefix=""):
 
 
 class _Net:
-    """Shared parameter / state walking over an ordered layer list."""
+    """Shared parameter / state walking over an ordered layer list; its
+    state methods follow the ``layers.Layer`` protocol."""
 
     def __init__(self):
         self.layers = []  # list of (name, layer)
@@ -82,21 +85,13 @@ class _Net:
             x = layer.forward(x, train)
         return x
 
-    def state_entries(self, prefix=""):
-        out = []
-        for name, layer in self.named_layers():
-            for key, arr in layer.state_arrays():
-                out.append(("%s%s.%s" % (prefix, name, key), arr))
-        return out
+    def state_arrays(self):
+        return [("%s.%s" % (name, key), arr)
+                for name, layer in self.named_layers() for key, arr in layer.state_arrays()]
 
-    def load_state_entries(self, entries, prefix=""):
+    def load_state_arrays(self, get):
         for name, layer in self.named_layers():
-            def get(key, _name=name):
-                full = "%s%s.%s" % (prefix, _name, key)
-                if full not in entries:
-                    raise KeyError("missing checkpoint entry %r" % (full,))
-                return entries[full]
-            layer.load_state_arrays(get)
+            layer.load_state_arrays(lambda key, _name=name: get("%s.%s" % (_name, key)))
 
 
 class GeneratorNet(_Net):
@@ -117,13 +112,12 @@ class GeneratorNet(_Net):
         self.weight_sparsity = weight_sparsity
         sparse = variant == "sparse_kwinners"
         kcfg = kwinners_cfg or {}
-        mask_seed = [seed * 1000]
+        mask_seeds = itertools.count(seed * 1000 + 1)
 
         def enc_conv(cin, cout, k, s, p):
             if sparse:
-                mask_seed[0] += 1
                 return SparseConv2d(cin, cout, k, stride=s, padding=p,
-                                    weight_sparsity=weight_sparsity, mask_seed=mask_seed[0])
+                                    weight_sparsity=weight_sparsity, mask_seed=next(mask_seeds))
             return Conv2d(cin, cout, k, stride=s, padding=p)
 
         def enc_act():
@@ -141,10 +135,7 @@ class GeneratorNet(_Net):
         self.add("enc.norm2", InstanceNorm(4 * w))
         self.add("enc.act2", enc_act())
         for i in range(n_res):
-            mask_seed[0] += 2
-            self.add("res%d" % i, ResidualBlock(
-                4 * w, sparse=sparse, weight_sparsity=weight_sparsity,
-                mask_seeds=(mask_seed[0] - 1, mask_seed[0]), kwinners_cfg=kcfg))
+            self.add("res%d" % i, ResidualBlock(4 * w, conv=enc_conv, act=enc_act))
         self.add("dec.up0", ConvTranspose2d(4 * w, 2 * w, 4, stride=2, padding=1))
         self.add("dec.norm0", InstanceNorm(2 * w))
         self.add("dec.act0", ReLU())

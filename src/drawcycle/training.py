@@ -183,18 +183,17 @@ class Adam:
         adam_step(self.params, grads, self.state, lr,
                   beta1=self.beta1, beta2=self.beta2, eps=self.eps)
 
-    def state_entries(self, prefix):
-        out = [("%s.t" % prefix, np.array(float(self.state.t)))]
+    def state_arrays(self):
+        out = [("t", np.array(float(self.state.t)))]
         for i, (m, v) in enumerate(zip(self.state.m, self.state.v)):
-            out.append(("%s.m.%04d" % (prefix, i), m))
-            out.append(("%s.v.%04d" % (prefix, i), v))
+            out += [("m.%04d" % i, m), ("v.%04d" % i, v)]
         return out
 
-    def load_state_entries(self, entries, prefix):
-        self.state.t = int(entries["%s.t" % prefix])
-        for i in range(len(self.params)):
-            self.state.m[i][...] = entries["%s.m.%04d" % (prefix, i)]
-            self.state.v[i][...] = entries["%s.v.%04d" % (prefix, i)]
+    def load_state_arrays(self, get):
+        self.state.t = int(get("t"))
+        for i, (m, v) in enumerate(zip(self.state.m, self.state.v)):
+            m[...] = get("m.%04d" % i)
+            v[...] = get("v.%04d" % i)
 
 
 class ImagePool:
@@ -220,6 +219,14 @@ class ImagePool:
         old = self.images[idx]
         self.images[idx] = fresh.copy()
         return old
+
+    def state_arrays(self):
+        images = np.stack(self.images) if self.images else np.zeros((0, 1, 1, 1))
+        return [("images", images), ("rng", rng_state_to_array(self.rng))]
+
+    def load_state_arrays(self, get):
+        self.images = [im.copy() for im in get("images")]
+        self.rng = rng_state_from_array(get("rng"))
 
 
 @dataclass
@@ -295,15 +302,13 @@ class Trainer:
         self.opt_g.step(lr)
         tape.clear()
 
-        fake_y_img = fake_y.data.copy()
-        fake_x_img = fake_x.data.copy()
+        # one pool query per generator step: every D step sees the same
+        # pooled fake, and the pool stores each generated image once
+        d_sides = (("gan_d_y", self.d_y, self.opt_dy, y, self.pool_y.query(fake_y.data)),
+                   ("gan_d_x", self.d_x, self.opt_dx, x, self.pool_x.query(fake_x.data)))
         d_losses = {}
         for _ in range(cfg.d_steps_per_g):
-            for name, disc, opt, pool, real, fake in (
-                ("gan_d_y", self.d_y, self.opt_dy, self.pool_y, y, fake_y_img),
-                ("gan_d_x", self.d_x, self.opt_dx, self.pool_x, x, fake_x_img),
-            ):
-                pooled = pool.query(fake)
+            for name, disc, opt, real, pooled in d_sides:
                 dtape = Tape()
                 with dtape:
                     d_real = disc.forward(real, train=True)
@@ -362,36 +367,37 @@ class Trainer:
 
     # -- checkpointing -----------------------------------------------------
 
+    def _state_parts(self):
+        """The checkpoint layout: (entry-name prefix, part) in file order;
+        each part follows the ``layers.Layer`` state protocol."""
+        return (("g_xy", self.g_xy), ("g_yx", self.g_yx), ("d_x", self.d_x), ("d_y", self.d_y),
+                ("opt_g", self.opt_g), ("opt_dx", self.opt_dx), ("opt_dy", self.opt_dy),
+                ("pool_x", self.pool_x), ("pool_y", self.pool_y))
+
     def checkpoint_save(self, path):
         entries = [("version", CHECKPOINT_VERSION),
                    ("config", self.cfg.to_text().encode("utf-8")),
                    ("epoch", np.array(float(self.epoch))),
                    ("step_count", np.array(float(self.step_count)))]
-        for prefix, net in self._named_nets():
-            entries.extend(net.state_entries(prefix + "."))
-        entries.extend(self.opt_g.state_entries("opt_g"))
-        entries.extend(self.opt_dx.state_entries("opt_dx"))
-        entries.extend(self.opt_dy.state_entries("opt_dy"))
-        for name, pool in (("pool_x", self.pool_x), ("pool_y", self.pool_y)):
-            imgs = (np.stack(pool.images) if pool.images
-                    else np.zeros((0, 1, 1, 1)))
-            entries.append(("%s.images" % name, imgs))
-            entries.append(("%s.rng" % name, rng_state_to_array(pool.rng)))
-        entries.append(("rng_x", rng_state_to_array(self.rng_x)))
-        entries.append(("rng_y", rng_state_to_array(self.rng_y)))
+        for prefix, part in self._state_parts():
+            entries += [("%s.%s" % (prefix, key), arr) for key, arr in part.state_arrays()]
+        entries += [("rng_x", rng_state_to_array(self.rng_x)),
+                    ("rng_y", rng_state_to_array(self.rng_y))]
         write_entries(path, entries)
-
-    def _named_nets(self):
-        return (("g_xy", self.g_xy), ("g_yx", self.g_yx),
-                ("d_x", self.d_x), ("d_y", self.d_y))
 
     @classmethod
     def checkpoint_load(cls, path, expect_cfg=None):
         entries = read_entries(path)
         if entries.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError("%s: unsupported checkpoint version" % (path,))
+
+        def get(name):
+            if name not in entries:
+                raise CheckpointError("%s: missing checkpoint entry %r" % (path, name))
+            return entries[name]
+
         try:
-            cfg = TrainConfig.from_text(entries["config"].decode("utf-8"))
+            cfg = TrainConfig.from_text(get("config").decode("utf-8"))
             if expect_cfg is not None:
                 for name in ("width", "n_res", "variant", "d_activation", "channels"):
                     got, want = getattr(cfg, name), getattr(expect_cfg, name)
@@ -399,20 +405,13 @@ class Trainer:
                         raise CheckpointError("%s: checkpoint %s=%r does not match configured %r"
                                               % (path, name, got, want))
             trainer = cls(cfg)
-            trainer.epoch = int(entries["epoch"])
-            trainer.step_count = int(entries["step_count"])
-            for prefix, net in trainer._named_nets():
-                net.load_state_entries(entries, prefix + ".")
-            trainer.opt_g.load_state_entries(entries, "opt_g")
-            trainer.opt_dx.load_state_entries(entries, "opt_dx")
-            trainer.opt_dy.load_state_entries(entries, "opt_dy")
-            for name, pool in (("pool_x", trainer.pool_x), ("pool_y", trainer.pool_y)):
-                imgs = entries["%s.images" % name]
-                pool.images = [imgs[i].copy() for i in range(imgs.shape[0])] if imgs.size else []
-                pool.rng = rng_state_from_array(entries["%s.rng" % name])
-            trainer.rng_x = rng_state_from_array(entries["rng_x"])
-            trainer.rng_y = rng_state_from_array(entries["rng_y"])
-        except (KeyError, ValueError) as exc:
+            trainer.epoch = int(get("epoch"))
+            trainer.step_count = int(get("step_count"))
+            for prefix, part in trainer._state_parts():
+                part.load_state_arrays(lambda key, _prefix=prefix: get("%s.%s" % (_prefix, key)))
+            trainer.rng_x = rng_state_from_array(get("rng_x"))
+            trainer.rng_y = rng_state_from_array(get("rng_y"))
+        except ValueError as exc:
             raise CheckpointError("%s: %s" % (path, exc))
         return trainer
 

@@ -81,6 +81,7 @@ class TestTrain:
     def test_manifest_mentions_config_and_checkpoint(self, trained):
         text = (trained / "manifest.txt").read_text()
         assert "epochs_completed = 1" in text
+        assert "status = completed" in text
         assert "final.ckpt" in text
         assert "[config]" in text
         assert "lambda_cyc = 10.0" in text
@@ -104,6 +105,31 @@ class TestTrain:
                      "--out", str(out)]) == 0
         assert not (out / "final.ckpt").exists()
         assert "epochs_completed = 0" in (out / "manifest.txt").read_text()
+
+    def test_failed_run_keeps_losses_and_records_failure(self, tmp_path, corpus,
+                                                         monkeypatch, capsys):
+        from drawcycle.training import Trainer, TrainingDiverged
+        train_step = Trainer.train_step
+
+        def step(self, x_images, y_images, lr):
+            if self.epoch == 1:
+                raise TrainingDiverged("cyc", self.step_count, float("nan"))
+            return train_step(self, x_images, y_images, lr)
+
+        monkeypatch.setattr(Trainer, "train_step", step)
+        cfg_path = tmp_path / "f.cfg"
+        write_config(cfg_path, epochs_total=3, epochs_const=3)
+        out = tmp_path / "frun"
+        rc = main(["train", "--data", str(corpus), "--config", str(cfg_path),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "non-finite loss 'cyc'" in capsys.readouterr().err
+        rows = (out / "losses.csv").read_text().strip().split("\n")
+        assert len(rows) == 2 and rows[1].startswith("0,")
+        manifest = (out / "manifest.txt").read_text()
+        assert "status = failed: non-finite loss 'cyc'" in manifest
+        assert "epochs_completed = 1" in manifest
+        assert not (out / "final.ckpt").exists()
 
     def test_unknown_config_key_fails(self, tmp_path, corpus, capsys):
         cfg_path = tmp_path / "bad.cfg"
@@ -255,3 +281,5 @@ class TestNoiseReport:
         assert len(lines) == 2
         # identical checkpoints and seed give identical deviations
         assert lines[0].split()[-3] == lines[1].split()[-3]
+        # each checkpoint's training budget is printed
+        assert all("epochs 1)" in ln for ln in lines)

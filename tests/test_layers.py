@@ -6,7 +6,7 @@ import pytest
 from drawcycle import autograd as ag
 from drawcycle.autograd import Tape, Tensor
 from drawcycle.layers import (
-    Conv2d, InstanceNorm, KWinners, ResidualBlock, RReLU, RReLUConfig,
+    Conv2d, InstanceNorm, KWinners, ReLU, ResidualBlock, RReLU, RReLUConfig,
     SparseConv2d, instance_norm, kwinners_forward, kwinners_update_duty_cycle,
     relu_family, rrelu_forward, sparse_mask_init,
 )
@@ -300,25 +300,32 @@ class TestDutyCycleUpdate:
 
 class TestResidualBlock:
     def test_zero_weights_identity(self):
-        block = ResidualBlock(3)
+        block = ResidualBlock(3, conv=Conv2d, act=ReLU)
         x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 5, 5)))
         out = block.forward(x)
         assert np.array_equal(out.data, x.data)
 
     def test_shape_preserved(self):
-        block = ResidualBlock(4, sparse=True, mask_seeds=(1, 2))
+        seeds = iter((1, 2))
+
+        def sparse_conv(cin, cout, k, s, p):
+            return SparseConv2d(cin, cout, k, stride=s, padding=p, mask_seed=next(seeds))
+
+        block = ResidualBlock(4, conv=sparse_conv, act=KWinners)
+        # the builder is called for conv1 first, then conv2
+        assert np.array_equal(block.conv1.mask.data, sparse_mask_init((4, 4, 3, 3), 0.5, 1))
+        assert np.array_equal(block.conv2.mask.data, sparse_mask_init((4, 4, 3, 3), 0.5, 2))
         for _, layer in block.sublayers():
             if hasattr(layer, "weight"):
                 layer.weight.data[...] = np.random.default_rng(1).normal(0, 0.05, layer.weight.shape)
-        if hasattr(block.conv1, "apply_mask"):
-            block.conv1.apply_mask()
-            block.conv2.apply_mask()
+        block.conv1.apply_mask()
+        block.conv2.apply_mask()
         x = Tensor(np.random.default_rng(2).normal(size=(2, 4, 6, 6)))
         assert block.forward(x).data.shape == x.data.shape
 
     def test_gradient_through_skip(self):
         rng = np.random.default_rng(5)
-        block = ResidualBlock(2)
+        block = ResidualBlock(2, conv=Conv2d, act=ReLU)
         block.conv1.weight.data[...] = rng.normal(0, 0.3, block.conv1.weight.shape)
         block.conv2.weight.data[...] = rng.normal(0, 0.3, block.conv2.weight.shape)
         x = rng.normal(size=(1, 2, 4, 4))

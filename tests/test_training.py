@@ -230,6 +230,13 @@ class TestTrainStep:
                 if isinstance(layer, SparseConv2d):
                     assert np.all(layer.weight.data[layer.mask.data == 0] == 0.0)
 
+    def test_pools_store_one_image_per_generator_step(self):
+        trainer = Trainer(tiny_config(seed=1, d_steps_per_g=2, pool_size=50))
+        ds = tiny_dataset()
+        trainer.train_step([ds.domain_x[0]], [ds.domain_y[0]], lr=1e-4)
+        assert len(trainer.pool_x.images) == 1
+        assert len(trainer.pool_y.images) == 1
+
     def test_descent_on_average(self):
         # the combined generator objective should drop over a few steps for
         # most seeds at this scale
@@ -313,6 +320,26 @@ class TestCheckpoint:
         straight_tail = [straight.history[i].means.values() for i in (2, 3)]
         resumed_rows = [h.means.values() for h in resumed.history]
         assert straight_tail == resumed_rows
+
+    def test_batch_of_two_round_trip(self, tmp_path):
+        # a sparse run of two batch-2 epochs; the pools then hold one
+        # (2, 1, H, W) batch per step and a resumed step is bit-exact
+        ds = tiny_dataset(n=4, seed=11)
+        cfg = tiny_config(seed=11, variant="sparse_kwinners", d_activation="rrelu",
+                          batch_size=2, epochs_total=2, epochs_const=1)
+        tr = Trainer(cfg)
+        tr.run(ds)
+        assert tr.step_count == 4 and len(tr.history) == 2
+        path = str(tmp_path / "b2.ckpt")
+        tr.checkpoint_save(path)
+        entries = read_entries(path)
+        assert entries["pool_x.images"].shape == (4, 2, 1, 32, 32)
+        assert entries["pool_y.images"].shape == (4, 2, 1, 32, 32)
+        back = Trainer.checkpoint_load(path)
+        xs, ys = ds.domain_x[:2], ds.domain_y[2:]
+        assert tr.train_step(xs, ys, 1e-4).values() == back.train_step(xs, ys, 1e-4).values()
+        for a, b in zip(tr._all_params(), back._all_params()):
+            assert np.array_equal(a.data, b.data)
 
     def test_mismatched_architecture_rejected(self, tmp_path):
         tr, _ = self._short_trainer()
