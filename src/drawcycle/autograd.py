@@ -331,14 +331,6 @@ def reflect_pad(x, pad):
     B, C, H, W = x.data.shape
     if pad < 0 or (pad > 0 and pad >= min(H, W)):
         raise ValueError("reflect pad %d too large for extents (%d, %d)" % (pad, H, W))
-    if pad == 0:
-        out = Tensor(x.data.copy())
-
-        def bwd0(g):
-            accumulate_grad(x, g)
-
-        return from_op(out, (x,), bwd0)
-
     out = Tensor(np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect"))
     rowmap = np.abs(np.arange(-pad, H + pad))
     rowmap = np.where(rowmap >= H, 2 * (H - 1) - rowmap, rowmap)

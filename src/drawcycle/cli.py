@@ -51,21 +51,21 @@ def cmd_train(args):
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     trainer = Trainer(cfg)
     try:
-        ckpt_paths = trainer.run(dataset, checkpoint_dir=args.out)
+        trainer.run(dataset, checkpoint_dir=args.out)
     except Exception as exc:
-        # keep the completed epochs' losses and record the failure
-        _write_run_record(args, trainer, started, [], "failed: %s" % (exc,))
+        # keep the completed epochs' losses and checkpoints, and record the failure
+        _write_run_record(args, trainer, started, "failed: %s" % (exc,))
         raise
     if trainer.epoch > 0:
         final_ckpt = os.path.join(args.out, "final.ckpt")
         trainer.checkpoint_save(final_ckpt)
-        ckpt_paths.append(final_ckpt)
-    _write_run_record(args, trainer, started, ckpt_paths, "completed")
+        trainer.checkpoint_paths.append(final_ckpt)
+    _write_run_record(args, trainer, started, "completed")
     print("trained %d epochs; outputs in %s" % (trainer.epoch, args.out))
     return 0
 
 
-def _write_run_record(args, trainer, started, ckpt_paths, status):
+def _write_run_record(args, trainer, started, status):
     """Write losses.csv and manifest.txt for a completed or failed run."""
     losses_path = os.path.join(args.out, "losses.csv")
     _write_atomic(losses_path, history_to_csv(trainer.history))
@@ -75,7 +75,7 @@ def _write_run_record(args, trainer, started, ckpt_paths, status):
                 "data = %s" % os.path.abspath(args.data),
                 "epochs_completed = %d" % trainer.epoch,
                 "losses_csv = %s" % os.path.abspath(losses_path)]
-    manifest += ["checkpoint = %s" % os.path.abspath(p) for p in ckpt_paths]
+    manifest += ["checkpoint = %s" % os.path.abspath(p) for p in trainer.checkpoint_paths]
     manifest += ["[config]", trainer.cfg.to_text().rstrip()]
     _write_atomic(os.path.join(args.out, "manifest.txt"), "\n".join(manifest) + "\n")
 

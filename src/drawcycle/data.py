@@ -125,27 +125,27 @@ def draw_circle(img, cr, cc, radius, value=WHITE):
 # ---------------------------------------------------------------------------
 # synthetic corpus
 
+# (min, max) counts per drawing: outline primitives, then annotation
+# dimension callouts and hatched rectangles
+RECTS = (1, 3)
+POLYLINES = (1, 3)
+CIRCLES = (0, 2)
+DIMS = (1, 3)
+HATCHES = (1, 2)
+
+
 @dataclass
 class SynthConfig:
     image_size: int = 64
     n_train: int = 40
     n_test: int = 10
     seed: int = 0
-    rects: Tuple[int, int] = (1, 3)
-    polylines: Tuple[int, int] = (1, 3)
-    circles: Tuple[int, int] = (0, 2)
-    hatches: Tuple[int, int] = (1, 2)
-    dims: Tuple[int, int] = (1, 3)
 
     def validate(self):
         if self.image_size < 16 or self.image_size % 4:
             raise ValueError("image_size must be >= 16 and divisible by 4")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be >= 1")
-        for name in ("rects", "polylines", "circles", "hatches", "dims"):
-            lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise ValueError("bad range for %s: (%d, %d)" % (name, lo, hi))
 
 
 @dataclass
@@ -155,24 +155,23 @@ class Dataset:
     test_x: List[np.ndarray] = field(default_factory=list)
     test_y: List[np.ndarray] = field(default_factory=list)
     paired_eval: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
-    eval_annotation_masks: Optional[List[np.ndarray]] = None
 
 
 def _sample_geometry(cfg, rng):
     """Random primitive set for one drawing; shared by both renders."""
     S = cfg.image_size
     geom = {"rects": [], "polylines": [], "circles": []}
-    for _ in range(rng.integers(cfg.rects[0], cfg.rects[1] + 1)):
+    for _ in range(rng.integers(RECTS[0], RECTS[1] + 1)):
         r0 = int(rng.integers(2, S - 12))
         c0 = int(rng.integers(2, S - 12))
         r1 = int(r0 + rng.integers(8, max(9, min(S - 2 - r0, S // 2))))
         c1 = int(c0 + rng.integers(8, max(9, min(S - 2 - c0, S // 2))))
         geom["rects"].append((r0, c0, r1, c1))
-    for _ in range(rng.integers(cfg.polylines[0], cfg.polylines[1] + 1)):
+    for _ in range(rng.integers(POLYLINES[0], POLYLINES[1] + 1)):
         n_seg = int(rng.integers(2, 5))
         pts = rng.integers(2, S - 2, size=(n_seg + 1, 2))
         geom["polylines"].append([(int(r), int(c)) for r, c in pts])
-    for _ in range(rng.integers(cfg.circles[0], cfg.circles[1] + 1)):
+    for _ in range(rng.integers(CIRCLES[0], CIRCLES[1] + 1)):
         rad = int(rng.integers(4, max(5, S // 6)))
         cr = int(rng.integers(rad + 2, S - rad - 2))
         cc = int(rng.integers(rad + 2, S - rad - 2))
@@ -197,7 +196,7 @@ def _render_annotations(cfg, geom, rng):
     S = cfg.image_size
     ann = np.zeros((S, S), dtype=np.uint8)
     rects = geom["rects"]
-    n_dims = int(rng.integers(cfg.dims[0], cfg.dims[1] + 1))
+    n_dims = int(rng.integers(DIMS[0], DIMS[1] + 1))
     for i in range(n_dims):
         if not rects:
             break
@@ -210,7 +209,7 @@ def _render_annotations(cfg, geom, rng):
         draw_line(ann, rr - 2, c1, rr + 2, c1)
         draw_line(ann, rr - 1, c0 + 1, rr + 1, c0 + 1)
         draw_line(ann, rr - 1, c1 - 1, rr + 1, c1 - 1)
-    n_hatch = int(rng.integers(cfg.hatches[0], cfg.hatches[1] + 1))
+    n_hatch = int(rng.integers(HATCHES[0], HATCHES[1] + 1))
     for i in range(n_hatch):
         if not rects:
             break
@@ -232,13 +231,11 @@ def _render_annotations(cfg, geom, rng):
 
 
 def render_pair(cfg, sample_seed):
-    """Render (outline, annotated, annotation mask) for one geometry seed."""
+    """Render (outline, annotated) for one geometry seed."""
     rng = np.random.default_rng(sample_seed)
     geom = _sample_geometry(cfg, rng)
     outline = _render_outline(cfg, geom)
-    ann = _render_annotations(cfg, geom, rng)
-    annotated = np.maximum(outline, ann)
-    return outline, annotated, ann > 0
+    return outline, np.maximum(outline, _render_annotations(cfg, geom, rng))
 
 
 def make_splits(n_items, n_train, n_test, seed):
@@ -256,28 +253,18 @@ def synth_generate(cfg):
     total = cfg.n_train + cfg.n_test
     ss = np.random.SeedSequence(cfg.seed)
     seeds_x, seeds_y = ss.spawn(2)
-    x_seeds = seeds_x.spawn(total)
-    y_seeds = seeds_y.spawn(total)
-
-    x_imgs = [render_pair(cfg, s)[0] for s in x_seeds]
-    y_imgs = [render_pair(cfg, s)[1] for s in y_seeds]
+    x_pairs = [render_pair(cfg, s) for s in seeds_x.spawn(total)]
+    y_imgs = [render_pair(cfg, s)[1] for s in seeds_y.spawn(total)]
 
     train_ix, test_ix = make_splits(total, cfg.n_train, cfg.n_test, cfg.seed + 1)
     train_iy, test_iy = make_splits(total, cfg.n_train, cfg.n_test, cfg.seed + 2)
 
-    paired_eval, masks = [], []
-    for i in test_ix:
-        outline, annotated, mask = render_pair(cfg, x_seeds[i])
-        paired_eval.append((outline, annotated))
-        masks.append(mask)
-
     return Dataset(
-        domain_x=[x_imgs[i] for i in train_ix],
+        domain_x=[x_pairs[i][0] for i in train_ix],
         domain_y=[y_imgs[i] for i in train_iy],
-        test_x=[x_imgs[i] for i in test_ix],
+        test_x=[x_pairs[i][0] for i in test_ix],
         test_y=[y_imgs[i] for i in test_iy],
-        paired_eval=paired_eval,
-        eval_annotation_masks=masks,
+        paired_eval=[x_pairs[i] for i in test_ix],
     )
 
 

@@ -49,14 +49,14 @@ class Layer:
 
 
 class Conv2d(Layer):
-    """Plain convolution layer holding weight and optional bias."""
+    """Plain convolution layer holding weight and bias."""
 
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, bias=True):
+    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0):
         self.stride = stride
         self.padding = padding
         self.weight = Tensor(np.zeros((out_ch, in_ch, kernel, kernel)), requires_grad=True)
-        self.bias = Tensor(np.zeros(out_ch), requires_grad=True) if bias else None
-        self.tensors = [("weight", self.weight)] + ([("bias", self.bias)] if bias else [])
+        self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
+        self.tensors = [("weight", self.weight), ("bias", self.bias)]
 
     def forward(self, x, train=False):
         return ag.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
@@ -69,9 +69,9 @@ class SparseConv2d(Conv2d):
     gradient and stay exactly zero under any number of optimizer steps.
     """
 
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, bias=True,
+    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0,
                  weight_sparsity=0.5, mask_seed=0):
-        super().__init__(in_ch, out_ch, kernel, stride=stride, padding=padding, bias=bias)
+        super().__init__(in_ch, out_ch, kernel, stride=stride, padding=padding)
         self.mask = Tensor(sparse_mask_init(self.weight.shape, weight_sparsity, mask_seed))
         self.tensors.append(("mask", self.mask))
 
@@ -86,13 +86,13 @@ class SparseConv2d(Conv2d):
 class ConvTranspose2d(Layer):
     """Fractionally-strided convolution layer (upsampling)."""
 
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, bias=True):
+    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0):
         self.stride = stride
         self.padding = padding
         # adjoint convention: weight maps in_ch -> out_ch, stored (in, out, K, K)
         self.weight = Tensor(np.zeros((in_ch, out_ch, kernel, kernel)), requires_grad=True)
-        self.bias = Tensor(np.zeros(out_ch), requires_grad=True) if bias else None
-        self.tensors = [("weight", self.weight)] + ([("bias", self.bias)] if bias else [])
+        self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
+        self.tensors = [("weight", self.weight), ("bias", self.bias)]
 
     def forward(self, x, train=False):
         return ag.conv_transpose2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
@@ -164,36 +164,30 @@ class ReLU(Layer):
 
 
 class LeakyReLU(Layer):
-    def __init__(self, alpha=0.2):
-        self.alpha = alpha
+    """LeakyReLU with negative slope 0.2."""
 
     def forward(self, x, train=False):
-        return relu_family(x, "leaky", alpha=self.alpha)
+        return relu_family(x, "leaky", alpha=0.2)
 
 
-class RReLUConfig:
-    """Bounds for the randomized rectifier; defaults follow the common
-    competition setting (1/8, 1/3)."""
-
-    def __init__(self, lower=0.125, upper=1.0 / 3.0):
-        if not 0.0 < lower < upper < 1.0:
-            raise ValueError("require 0 < lower < upper < 1")
-        self.lower = lower
-        self.upper = upper
+# slope bounds of the randomized rectifier: the common competition setting
+RRELU_LOWER = 0.125
+RRELU_UPPER = 1.0 / 3.0
 
 
-def rrelu_forward(x, cfg, rng, train=False):
+def rrelu_forward(x, rng, train=False):
     """Randomized leaky rectifier.
 
     Train mode scales each negative element by its own slope drawn from
-    Uniform(lower, upper); the drawn slope is reused in backward.  Eval
-    mode uses the deterministic mean slope (lower + upper) / 2.
+    Uniform(RRELU_LOWER, RRELU_UPPER); the drawn slope is reused in
+    backward.  Eval mode uses the deterministic mean slope
+    (RRELU_LOWER + RRELU_UPPER) / 2.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     if train:
-        a = rng.uniform(cfg.lower, cfg.upper, size=x.data.shape)
+        a = rng.uniform(RRELU_LOWER, RRELU_UPPER, size=x.data.shape)
     else:
-        a = np.full(x.data.shape, (cfg.lower + cfg.upper) / 2.0)
+        a = np.full(x.data.shape, (RRELU_LOWER + RRELU_UPPER) / 2.0)
     slope = np.where(x.data > 0, 1.0, a)
     out = Tensor(x.data * slope)
 
@@ -204,12 +198,11 @@ def rrelu_forward(x, cfg, rng, train=False):
 
 
 class RReLU(Layer):
-    def __init__(self, cfg=None, seed=0):
-        self.cfg = cfg or RReLUConfig()
+    def __init__(self, seed=0):
         self.rng = np.random.default_rng(seed)
 
     def forward(self, x, train=False):
-        return rrelu_forward(x, self.cfg, self.rng, train=train)
+        return rrelu_forward(x, self.rng, train=train)
 
     def state_arrays(self):
         from .serialize import rng_state_to_array

@@ -1,4 +1,5 @@
-"""Generator and discriminator assembly.
+"""Generator and discriminator assembly.  Both networks work on
+single-channel grayscale drawings.
 
 The generator is an encoder (7x7 stride-1 entry, two stride-2
 downsamplers), a stack of residual blocks, and a decoder (two stride-2
@@ -95,21 +96,13 @@ class _Net:
 
 
 class GeneratorNet(_Net):
-    def __init__(self, in_channels=1, out_channels=1, width=64, n_res=12,
-                 variant="dense_relu", weight_sparsity=0.5, kwinners_cfg=None, seed=0):
+    def __init__(self, width=64, n_res=12, variant="dense_relu", weight_sparsity=0.5,
+                 kwinners_cfg=None, seed=0):
         super().__init__()
         if variant not in GENERATOR_VARIANTS:
             raise ValueError("unknown generator variant %r" % (variant,))
         if width < 1 or n_res < 0:
             raise ValueError("require width >= 1 and n_res >= 0")
-        if in_channels < 1 or out_channels < 1:
-            raise ValueError("channel counts must be >= 1")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.width = width
-        self.n_res = n_res
-        self.variant = variant
-        self.weight_sparsity = weight_sparsity
         sparse = variant == "sparse_kwinners"
         kcfg = kwinners_cfg or {}
         mask_seeds = itertools.count(seed * 1000 + 1)
@@ -125,7 +118,7 @@ class GeneratorNet(_Net):
 
         w = width
         self.add("enc.pad", _ReflectPad(3))
-        self.add("enc.conv0", enc_conv(in_channels, w, 7, 1, 0))
+        self.add("enc.conv0", enc_conv(1, w, 7, 1, 0))
         self.add("enc.norm0", InstanceNorm(w))
         self.add("enc.act0", enc_act())
         self.add("enc.conv1", enc_conv(w, 2 * w, 3, 2, 1))
@@ -143,7 +136,7 @@ class GeneratorNet(_Net):
         self.add("dec.norm1", InstanceNorm(w))
         self.add("dec.act1", ReLU())
         self.add("dec.pad", _ReflectPad(3))
-        self.add("dec.conv", Conv2d(w, out_channels, 7, stride=1, padding=0))
+        self.add("dec.conv", Conv2d(w, 1, 7, stride=1, padding=0))
         self.add("dec.tanh", _Tanh())
         init_weights(self, seed)
 
@@ -151,8 +144,8 @@ class GeneratorNet(_Net):
         if x.data.ndim != 4:
             raise ValueError("generator expects a BCHW tensor")
         B, C, H, W = x.data.shape
-        if C != self.in_channels:
-            raise ValueError("generator expects %d input channels, got %d" % (self.in_channels, C))
+        if C != 1:
+            raise ValueError("generator expects 1 input channel, got %d" % (C,))
         if H % 4 or W % 4:
             raise ValueError("spatial extents must be divisible by 4, got (%d, %d)" % (H, W))
         return super().forward(x, train)
@@ -162,23 +155,18 @@ class DiscriminatorNet(_Net):
     """Five 4x4 convolutions (strides 2,2,2,1,1) emitting a patch-logit map;
     no squashing at the head."""
 
-    def __init__(self, in_channels=1, width=64, activation="rrelu", leaky_alpha=0.2, seed=0):
+    def __init__(self, width=64, activation="rrelu", seed=0):
         super().__init__()
         if activation not in DISCRIMINATOR_ACTIVATIONS:
             raise ValueError("unknown discriminator activation %r" % (activation,))
-        if width < 1 or in_channels < 1:
-            raise ValueError("require width >= 1 and in_channels >= 1")
-        self.in_channels = in_channels
-        self.width = width
-        self.activation = activation
+        if width < 1:
+            raise ValueError("require width >= 1")
         w = width
 
         def act(i):
-            if activation == "rrelu":
-                return RReLU(seed=seed * 100 + i)
-            return LeakyReLU(alpha=leaky_alpha)
+            return RReLU(seed=seed * 100 + i) if activation == "rrelu" else LeakyReLU()
 
-        self.add("conv0", Conv2d(in_channels, w, 4, stride=2, padding=1))
+        self.add("conv0", Conv2d(1, w, 4, stride=2, padding=1))
         self.add("act0", act(0))
         self.add("conv1", Conv2d(w, 2 * w, 4, stride=2, padding=1))
         self.add("norm1", InstanceNorm(2 * w))
@@ -211,8 +199,7 @@ def init_weights(net, seed):
     for _, layer in net.named_layers():
         if isinstance(layer, (Conv2d, ConvTranspose2d)):
             layer.weight.data[...] = gaussian_samples(rng, layer.weight.shape, 0.02)
-            if layer.bias is not None:
-                layer.bias.data[...] = 0.0
+            layer.bias.data[...] = 0.0
             if isinstance(layer, SparseConv2d):
                 layer.apply_mask()
         elif isinstance(layer, InstanceNorm):
@@ -234,11 +221,3 @@ def output_noise_deviation(net, images, sigma, seed=0):
         noisy = net.forward(Tensor(x + rng.normal(0.0, sigma, size=x.shape)), train=False).data
         devs.append(float(np.mean(np.abs(noisy - clean))))
     return float(np.mean(devs))
-
-
-def count_nonzero_weights(net):
-    total = 0
-    for _, layer in net.named_layers():
-        if isinstance(layer, (Conv2d, ConvTranspose2d)):
-            total += int(np.count_nonzero(layer.weight.data))
-    return total

@@ -33,15 +33,10 @@ class LossBundle:
         return [getattr(self, f) for f in self.FIELDS]
 
 
-def gan_loss_generator(d_out_on_fake, saturating=False):
-    """Generator adversarial term from the discriminator's logits on fakes.
-
-    Default is the non-saturating form mean softplus(-logit); the
-    ``saturating`` flag restores the literal log(1 - D) form, which equals
-    -softplus(logit).
-    """
-    if saturating:
-        return ag.neg(ag.mean(ag.softplus(d_out_on_fake)))
+def gan_loss_generator(d_out_on_fake):
+    """Generator adversarial term from the discriminator's logits on fakes:
+    mean softplus(-logit) = mean -log D, the form whose gradient stays large
+    while D rejects the fakes (Goodfellow et al., arXiv 1406.2661, section 3)."""
     return ag.mean(ag.softplus(ag.neg(d_out_on_fake)))
 
 

@@ -5,9 +5,10 @@ pool of generated fakes, and bit-exact checkpointing.
 Given (seed, config, dataset), every reported loss is deterministic.
 """
 
+import os
 import time
-from dataclasses import dataclass, field, fields
-from typing import List, Optional
+from dataclasses import dataclass, fields
+from typing import List
 
 import numpy as np
 
@@ -57,8 +58,6 @@ class TrainConfig:
     pool_size: int = 50
     batch_size: int = 1
     seed: int = 0
-    channels: int = 1
-    saturating_gan: bool = False
     checkpoint_every: int = 0
 
     def validate(self):
@@ -101,6 +100,27 @@ class TrainConfig:
                 raise ValueError("line %d: unknown config key %r" % (lineno, key))
             kwargs[key] = _parse_value(known[key], val, key)
         return cls(**kwargs).validate()
+
+
+# Keys that the stored config of a checkpoint written by an earlier version
+# may carry, each with the one value, as written, that this model has (None:
+# any value; image_size was never read).  Only checkpoint loading accepts them.
+RETIRED_KEYS = {"image_size": None, "channels": "1", "saturating_gan": "false"}
+
+
+def _checkpoint_config(text):
+    """Parse a checkpoint's stored config, dropping the retired keys that
+    hold their one accepted value."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        key, _, val = (part.strip() for part in raw.split("#", 1)[0].partition("="))
+        if key in RETIRED_KEYS:
+            if RETIRED_KEYS[key] not in (None, val):
+                raise ValueError("line %d: retired config key %r loads only as %s, got %r"
+                                 % (lineno, key, RETIRED_KEYS[key], val))
+            raw = ""  # keeps the line numbers of later errors
+        lines.append(raw)
+    return TrainConfig.from_text("\n".join(lines))
 
 
 def _parse_value(typ, val, key):
@@ -247,10 +267,9 @@ class Trainer:
         self.cfg = cfg
         kcfg = {"k_frac": cfg.k_frac, "boost_strength": cfg.boost_strength,
                 "duty_period": cfg.duty_period}
-        gen = dict(in_channels=cfg.channels, out_channels=cfg.channels, width=cfg.width,
-                   n_res=cfg.n_res, variant=cfg.variant, weight_sparsity=cfg.weight_sparsity,
-                   kwinners_cfg=kcfg)
-        disc = dict(in_channels=cfg.channels, width=cfg.width, activation=cfg.d_activation)
+        gen = dict(width=cfg.width, n_res=cfg.n_res, variant=cfg.variant,
+                   weight_sparsity=cfg.weight_sparsity, kwinners_cfg=kcfg)
+        disc = dict(width=cfg.width, activation=cfg.d_activation)
         self.g_xy = GeneratorNet(seed=cfg.seed * 4 + 1, **gen)
         self.g_yx = GeneratorNet(seed=cfg.seed * 4 + 2, **gen)
         self.d_x = DiscriminatorNet(seed=cfg.seed * 4 + 3, **disc)
@@ -266,6 +285,7 @@ class Trainer:
         self.epoch = 0
         self.step_count = 0
         self.history: List[EpochStats] = []
+        self.checkpoint_paths: List[str] = []  # periodic checkpoints, as written
 
     # -- single optimization step ------------------------------------------
 
@@ -288,8 +308,8 @@ class Trainer:
             cyc_y = self.g_xy.forward(fake_x, train=True)
             d_on_fake_y = self.d_y.forward(fake_y, train=True)
             d_on_fake_x = self.d_x.forward(fake_x, train=True)
-            loss_g_xy = gan_loss_generator(d_on_fake_y, saturating=cfg.saturating_gan)
-            loss_g_yx = gan_loss_generator(d_on_fake_x, saturating=cfg.saturating_gan)
+            loss_g_xy = gan_loss_generator(d_on_fake_y)
+            loss_g_yx = gan_loss_generator(d_on_fake_x)
             cyc = cycle_consistency_loss(x, cyc_x, y, cyc_y)
             idt = None
             if cfg.idt_enabled:
@@ -337,16 +357,18 @@ class Trainer:
 
     def run(self, dataset, checkpoint_dir=None):
         """Iterate epochs with independently shuffled unpaired domains;
-        appends per-epoch mean losses (and wall seconds) to history."""
+        appends per-epoch mean losses (and wall seconds) to history and
+        each periodic checkpoint's path to checkpoint_paths."""
         cfg = self.cfg
-        if not dataset.domain_x or not dataset.domain_y:
-            raise ValueError("cannot train on an empty dataset")
-        paths = []
+        n_x, n_y = len(dataset.domain_x), len(dataset.domain_y)
+        if min(n_x, n_y) < cfg.batch_size:
+            raise ValueError("batch_size %d does not fit the training domains (%d X and %d Y "
+                             "drawings): no step could run" % (cfg.batch_size, n_x, n_y))
         while self.epoch < cfg.epochs_total:
             lr = lr_at_epoch(cfg, self.epoch)
-            perm_x = self.rng_x.permutation(len(dataset.domain_x))
-            perm_y = self.rng_y.permutation(len(dataset.domain_y))
-            n_steps = min(len(perm_x), len(perm_y)) // cfg.batch_size
+            perm_x = self.rng_x.permutation(n_x)
+            perm_y = self.rng_y.permutation(n_y)
+            n_steps = min(n_x, n_y) // cfg.batch_size
             bundles = []
             t0 = time.perf_counter()
             for s in range(n_steps):
@@ -359,11 +381,9 @@ class Trainer:
             self.history.append(EpochStats(self.epoch, _mean_bundle(bundles, cfg), seconds))
             self.epoch += 1
             if checkpoint_dir and cfg.checkpoint_every and self.epoch % cfg.checkpoint_every == 0:
-                import os
                 path = os.path.join(checkpoint_dir, "epoch_%04d.ckpt" % self.epoch)
                 self.checkpoint_save(path)
-                paths.append(path)
-        return paths
+                self.checkpoint_paths.append(path)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -386,7 +406,7 @@ class Trainer:
         write_entries(path, entries)
 
     @classmethod
-    def checkpoint_load(cls, path, expect_cfg=None):
+    def checkpoint_load(cls, path):
         entries = read_entries(path)
         if entries.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError("%s: unsupported checkpoint version" % (path,))
@@ -397,13 +417,7 @@ class Trainer:
             return entries[name]
 
         try:
-            cfg = TrainConfig.from_text(get("config").decode("utf-8"))
-            if expect_cfg is not None:
-                for name in ("width", "n_res", "variant", "d_activation", "channels"):
-                    got, want = getattr(cfg, name), getattr(expect_cfg, name)
-                    if got != want:
-                        raise CheckpointError("%s: checkpoint %s=%r does not match configured %r"
-                                              % (path, name, got, want))
+            cfg = _checkpoint_config(get("config").decode("utf-8"))
             trainer = cls(cfg)
             trainer.epoch = int(get("epoch"))
             trainer.step_count = int(get("step_count"))

@@ -108,6 +108,7 @@ class TestTrain:
 
     def test_failed_run_keeps_losses_and_records_failure(self, tmp_path, corpus,
                                                          monkeypatch, capsys):
+        # with a checkpoint each epoch, epoch 1's is written before epoch 2 fails
         from drawcycle.training import Trainer, TrainingDiverged
         train_step = Trainer.train_step
 
@@ -118,7 +119,7 @@ class TestTrain:
 
         monkeypatch.setattr(Trainer, "train_step", step)
         cfg_path = tmp_path / "f.cfg"
-        write_config(cfg_path, epochs_total=3, epochs_const=3)
+        write_config(cfg_path, epochs_total=3, epochs_const=3, checkpoint_every=1)
         out = tmp_path / "frun"
         rc = main(["train", "--data", str(corpus), "--config", str(cfg_path),
                    "--out", str(out)])
@@ -130,6 +131,9 @@ class TestTrain:
         assert "status = failed: non-finite loss 'cyc'" in manifest
         assert "epochs_completed = 1" in manifest
         assert not (out / "final.ckpt").exists()
+        assert (out / "epoch_0001.ckpt").exists()
+        listed = [ln for ln in manifest.splitlines() if ln.startswith("checkpoint = ")]
+        assert listed == ["checkpoint = %s" % (out / "epoch_0001.ckpt")]
 
     def test_unknown_config_key_fails(self, tmp_path, corpus, capsys):
         cfg_path = tmp_path / "bad.cfg"

@@ -96,16 +96,13 @@ class TestStrokes:
 class TestRenderPair:
     def test_binary_values_and_shared_geometry(self):
         cfg = SynthConfig(image_size=64, seed=0)
-        outline, annotated, mask = render_pair(cfg, 123)
+        outline, annotated = render_pair(cfg, 123)
         for img in (outline, annotated):
             assert img.shape == (64, 64)
             assert set(np.unique(img)) <= {0, 255}
-        # annotated contains the outline strokes plus extras
-        assert np.all(annotated[outline == 255] == 255)
+        # annotated is the outline strokes plus extras
+        assert np.all(annotated >= outline)
         assert annotated.sum() > outline.sum()
-        # away from the annotation strokes the two images agree
-        agree = (outline == annotated) | mask
-        assert agree.mean() >= 0.95
 
     def test_seed_determinism(self):
         cfg = SynthConfig(image_size=32)
@@ -149,11 +146,10 @@ class TestSynthGenerate:
     def test_eval_pairs_share_geometry_with_test_x(self):
         cfg = SynthConfig(image_size=64, n_train=4, n_test=2, seed=3)
         ds = synth_generate(cfg)
-        for (outline, annotated), tx, mask in zip(ds.paired_eval, ds.test_x,
-                                                  ds.eval_annotation_masks):
+        for (outline, annotated), tx in zip(ds.paired_eval, ds.test_x):
             assert np.array_equal(outline, tx)
-            agree = (outline == annotated) | mask
-            assert agree.mean() >= 0.95
+            assert np.all(annotated >= outline)
+            assert annotated.sum() > outline.sum()
 
     def test_domains_differ(self):
         ds = synth_generate(SynthConfig(image_size=32, n_train=4, n_test=2, seed=4))

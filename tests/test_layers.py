@@ -6,7 +6,7 @@ import pytest
 from drawcycle import autograd as ag
 from drawcycle.autograd import Tape, Tensor
 from drawcycle.layers import (
-    Conv2d, InstanceNorm, KWinners, ReLU, ResidualBlock, RReLU, RReLUConfig,
+    Conv2d, InstanceNorm, KWinners, ReLU, ResidualBlock, RReLU,
     SparseConv2d, instance_norm, kwinners_forward, kwinners_update_duty_cycle,
     relu_family, rrelu_forward, sparse_mask_init,
 )
@@ -151,39 +151,31 @@ class TestReluFamily:
 
 class TestRReLU:
     def test_eval_slope(self):
-        cfg = RReLUConfig()
-        out = rrelu_forward(Tensor([-2.0]), cfg, np.random.default_rng(0), train=False)
+        out = rrelu_forward(Tensor([-2.0]), np.random.default_rng(0), train=False)
         assert out.data[0] == pytest.approx(-2.0 * (11.0 / 48.0), abs=1e-12)
 
     def test_positive_passthrough_both_modes(self):
-        cfg = RReLUConfig()
         x = np.abs(np.random.default_rng(1).normal(size=16)) + 0.01
         for train in (False, True):
-            out = rrelu_forward(Tensor(x), cfg, np.random.default_rng(2), train=train)
+            out = rrelu_forward(Tensor(x), np.random.default_rng(2), train=train)
             assert np.array_equal(out.data, x)
 
     def test_train_range_and_mean(self):
-        cfg = RReLUConfig()
         rng = np.random.default_rng(3)
         x = np.full(100000, -1.0)
-        out = rrelu_forward(Tensor(x), cfg, rng, train=True).data
+        out = rrelu_forward(Tensor(x), rng, train=True).data
         assert np.all(out >= -1.0 / 3.0 - 1e-12)
         assert np.all(out <= -1.0 / 8.0 + 1e-12)
         assert out.mean() == pytest.approx(-11.0 / 48.0, abs=0.002)
 
     def test_train_backward_reuses_sampled_slope(self):
-        cfg = RReLUConfig()
         tape = Tape()
         with tape:
             x = Tensor(np.full(50, -1.0), requires_grad=True)
-            out = rrelu_forward(x, cfg, np.random.default_rng(5), train=True)
+            out = rrelu_forward(x, np.random.default_rng(5), train=True)
             loss = ag.sum_all(out)
         ag.backward(loss, tape)
         assert np.allclose(x.grad, -out.data)  # slope = out / x with x = -1
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            RReLUConfig(lower=0.5, upper=0.2)
 
 
 class TestKWinners:

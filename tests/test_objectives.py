@@ -33,11 +33,6 @@ class TestGeneratorGanLoss:
         expect = (LN2 + LN2 + 3.0485873515737420 + math.log1p(math.exp(-20.0))) / 4.0
         assert v == pytest.approx(expect, abs=1e-12)
 
-    def test_saturating_form(self):
-        # log(1 - sigmoid(z)) = -softplus(z)
-        v = gan_loss_generator(t([1.3]), saturating=True).item()
-        assert v == pytest.approx(math.log(1.0 - 1.0 / (1.0 + math.exp(-1.3))), abs=1e-12)
-
     def test_matches_naive_sigmoid_form(self):
         rng = np.random.default_rng(0)
         z = rng.uniform(-8, 8, size=100)

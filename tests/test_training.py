@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from drawcycle.training import (
     Adam, AdamState, ImagePool, TrainConfig, Trainer, TrainingDiverged,
     adam_step, history_to_csv, lr_at_epoch, preset_config,
 )
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def tiny_config(**kw):
@@ -63,6 +67,11 @@ class TestConfig:
         assert fine.n_res == 12
         with pytest.raises(ValueError):
             preset_config("best")
+
+    @pytest.mark.parametrize("name", ["baseline", "no_idt", "finetuned"])
+    def test_config_files_match_presets(self, name):
+        with open(os.path.join(CONFIGS, name + ".cfg")) as fh:
+            assert TrainConfig.from_text(fh.read()) == preset_config(name)
 
 
 class TestLrSchedule:
@@ -269,6 +278,14 @@ class TestRun:
         with pytest.raises(ValueError):
             tr.run(Dataset(domain_x=[], domain_y=[]))
 
+    def test_batch_larger_than_a_domain_rejected(self):
+        # 2 drawings per domain cannot form a batch of 5: fail before the
+        # first epoch instead of running epochs of zero steps
+        tr = Trainer(tiny_config(batch_size=5, epochs_total=3, epochs_const=3))
+        with pytest.raises(ValueError, match=r"batch_size 5 .*\(2 X and 2 Y"):
+            tr.run(tiny_dataset(n=2))
+        assert tr.epoch == 0 and tr.history == []
+
     def test_csv_layout(self):
         ds = tiny_dataset(n=2)
         tr = Trainer(tiny_config(epochs_total=1, epochs_const=1, seed=6, idt_enabled=False))
@@ -341,12 +358,35 @@ class TestCheckpoint:
         for a, b in zip(tr._all_params(), back._all_params()):
             assert np.array_equal(a.data, b.data)
 
-    def test_mismatched_architecture_rejected(self, tmp_path):
-        tr, _ = self._short_trainer()
-        path = str(tmp_path / "w.ckpt")
+    def _with_config_lines(self, path, extra):
+        # rewrite the stored config the way an earlier version wrote it
+        entries = read_entries(path)
+        entries["config"] += extra.encode("utf-8")
+        write_entries(path, list(entries.items()))
+
+    def test_retired_config_keys_load(self, tmp_path):
+        tr, ds = self._short_trainer(seed=12, variant="sparse_kwinners", d_activation="rrelu")
+        path = str(tmp_path / "old.ckpt")
         tr.checkpoint_save(path)
-        with pytest.raises(CheckpointError):
-            Trainer.checkpoint_load(path, expect_cfg=tiny_config(width=4))
+        self._with_config_lines(path, "image_size = 32\nchannels = 1\nsaturating_gan = false\n")
+        back = Trainer.checkpoint_load(path)
+        assert back.cfg == tr.cfg
+        b1 = tr.train_step([ds.domain_x[1]], [ds.domain_y[1]], 1e-4)
+        b2 = back.train_step([ds.domain_x[1]], [ds.domain_y[1]], 1e-4)
+        assert b1.values() == b2.values()
+
+    @pytest.mark.parametrize("line", ["channels = 3", "saturating_gan = true"])
+    def test_retired_config_key_other_value_rejected(self, tmp_path, line):
+        tr, _ = self._short_trainer()
+        path = str(tmp_path / "old.ckpt")
+        tr.checkpoint_save(path)
+        self._with_config_lines(path, line + "\n")
+        with pytest.raises(CheckpointError, match=repr(line.split()[0])):
+            Trainer.checkpoint_load(path)
+
+    def test_retired_config_key_rejected_in_config_file(self):
+        with pytest.raises(ValueError, match="unknown config key 'channels'"):
+            TrainConfig.from_text("channels = 1\n")
 
     def test_corrupt_file_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"
