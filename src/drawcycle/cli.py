@@ -2,8 +2,8 @@
 evaluation, loss-curve rendering, and the noise-robustness comparison.
 
 Every command is deterministic given identical inputs and seeds; a run
-manifest sufficient to reproduce a training run is written atomically at
-run end, also when the run fails.
+manifest sufficient to reproduce a training run is rewritten atomically
+after each epoch and at run end, also when the run fails.
 """
 
 import argparse
@@ -50,32 +50,44 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     trainer = Trainer(cfg)
+    checkpoints = []  # paths, in the order written
+
+    def save(name):
+        path = os.path.join(args.out, name)
+        trainer.checkpoint_save(path)
+        checkpoints.append(path)
+
+    def on_epoch(_):
+        # the last epoch's state is saved once, as final.ckpt, after the run
+        every = cfg.checkpoint_every
+        if every and trainer.epoch % every == 0 and trainer.epoch < cfg.epochs_total:
+            save("epoch_%04d.ckpt" % trainer.epoch)
+        _write_run_record(args, trainer, checkpoints, started, "running")
+
     try:
-        trainer.run(dataset, checkpoint_dir=args.out)
+        trainer.run(dataset, on_epoch)
     except Exception as exc:
         # keep the completed epochs' losses and checkpoints, and record the failure
-        _write_run_record(args, trainer, started, "failed: %s" % (exc,))
+        _write_run_record(args, trainer, checkpoints, started, "failed: %s" % (exc,))
         raise
     if trainer.epoch > 0:
-        final_ckpt = os.path.join(args.out, "final.ckpt")
-        trainer.checkpoint_save(final_ckpt)
-        trainer.checkpoint_paths.append(final_ckpt)
-    _write_run_record(args, trainer, started, "completed")
+        save("final.ckpt")
+    _write_run_record(args, trainer, checkpoints, started, "completed")
     print("trained %d epochs; outputs in %s" % (trainer.epoch, args.out))
     return 0
 
 
-def _write_run_record(args, trainer, started, status):
-    """Write losses.csv and manifest.txt for a completed or failed run."""
+def _write_run_record(args, trainer, checkpoints, started, status):
+    """Write losses.csv and manifest.txt for the epochs completed so far."""
     losses_path = os.path.join(args.out, "losses.csv")
     _write_atomic(losses_path, history_to_csv(trainer.history))
     manifest = ["started = %s" % started,
-                "finished = %s" % time.strftime("%Y-%m-%dT%H:%M:%S"),
+                "updated = %s" % time.strftime("%Y-%m-%dT%H:%M:%S"),
                 "status = %s" % status,
                 "data = %s" % os.path.abspath(args.data),
                 "epochs_completed = %d" % trainer.epoch,
                 "losses_csv = %s" % os.path.abspath(losses_path)]
-    manifest += ["checkpoint = %s" % os.path.abspath(p) for p in trainer.checkpoint_paths]
+    manifest += ["checkpoint = %s" % os.path.abspath(p) for p in checkpoints]
     manifest += ["[config]", trainer.cfg.to_text().rstrip()]
     _write_atomic(os.path.join(args.out, "manifest.txt"), "\n".join(manifest) + "\n")
 
@@ -187,11 +199,15 @@ def cmd_noise_report(args):
     results = []
     for label, path in (("a", args.ckpt_a), ("b", args.ckpt_b)):
         trainer = Trainer.checkpoint_load(path)
-        dev = output_noise_deviation(trainer.g_xy, images, args.sigma, seed=args.seed)
-        results.append((label, trainer.cfg.variant, path, trainer.epoch, dev))
-    for label, variant, path, epochs, dev in results:
-        print("generator %s (%s, %s, epochs %d): mean output L1 deviation %.6f at sigma %.3f"
-              % (label, variant, path, epochs, dev, args.sigma))
+        devs = output_noise_deviation(trainer.g_xy, images, args.sigma, seed=args.seed)
+        results.append((label, trainer.cfg.variant, path, trainer.epoch, devs))
+    for label, variant, path, epochs, devs in results:
+        q1, median, q3 = np.percentile(devs, [25, 50, 75])
+        # the mean stays the third token from the end: tests read it there
+        print("generator %s (%s, %s, epochs %d): output L1 deviation at sigma %.3f: "
+              "median %.6f, quartiles %.6f %.6f, mean %.6f (%d images)"
+              % (label, variant, path, epochs, args.sigma, median, q1, q3,
+                 float(np.mean(devs)), len(devs)))
     return 0
 
 

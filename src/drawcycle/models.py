@@ -192,24 +192,20 @@ class DiscriminatorNet(_Net):
 
 
 def init_weights(net, seed):
-    """Gaussian(0, std 0.02) convolution weights via Box-Muller, zero
-    biases, unit norm gains, zero shifts; sparse masks re-applied after
-    sampling."""
+    """Gaussian(0, std 0.02) convolution weights via Box-Muller, sparse
+    masks re-applied after sampling; biases, norm gains and norm shifts
+    keep the values their layers are built with (0, 1 and 0)."""
     rng = np.random.default_rng(seed)
     for _, layer in net.named_layers():
         if isinstance(layer, (Conv2d, ConvTranspose2d)):
             layer.weight.data[...] = gaussian_samples(rng, layer.weight.shape, 0.02)
-            layer.bias.data[...] = 0.0
             if isinstance(layer, SparseConv2d):
                 layer.apply_mask()
-        elif isinstance(layer, InstanceNorm):
-            layer.gain.data[...] = 1.0
-            layer.shift.data[...] = 0.0
 
 
 def output_noise_deviation(net, images, sigma, seed=0):
-    """Mean L1 change of the generator output when Gaussian noise of the
-    given sigma is added to its input (eval mode); images are 8-bit
+    """Per-image mean L1 change of the generator output when Gaussian noise
+    of the given sigma is added to its input (eval mode); images are 8-bit
     grayscale arrays."""
     from .data import image_to_net
 
@@ -220,4 +216,4 @@ def output_noise_deviation(net, images, sigma, seed=0):
         clean = net.forward(Tensor(x), train=False).data
         noisy = net.forward(Tensor(x + rng.normal(0.0, sigma, size=x.shape)), train=False).data
         devs.append(float(np.mean(np.abs(noisy - clean))))
-    return float(np.mean(devs))
+    return devs

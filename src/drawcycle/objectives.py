@@ -25,7 +25,6 @@ class LossBundle:
     cyc: float
     idt: Optional[float]
     total_g: float
-    lambda_cyc: float
 
     FIELDS = ("gan_g_xy", "gan_g_yx", "gan_d_x", "gan_d_y", "cyc", "idt", "total_g")
 

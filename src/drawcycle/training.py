@@ -5,7 +5,6 @@ pool of generated fakes, and bit-exact checkpointing.
 Given (seed, config, dataset), every reported loss is deterministic.
 """
 
-import os
 import time
 from dataclasses import dataclass, fields
 from typing import List
@@ -124,18 +123,13 @@ def _checkpoint_config(text):
 
 
 def _parse_value(typ, val, key):
-    name = typ if isinstance(typ, str) else typ.__name__
-    if name == "bool":
+    if typ is bool:
         if val.lower() in ("true", "1", "yes", "on"):
             return True
         if val.lower() in ("false", "0", "no", "off"):
             return False
         raise ValueError("config key %r: bad boolean %r" % (key, val))
-    if name == "int":
-        return int(val)
-    if name == "float":
-        return float(val)
-    return val
+    return typ(val)
 
 
 def preset_config(name):
@@ -166,52 +160,44 @@ def lr_at_epoch(cfg, epoch):
     return cfg.lr0 * (1.0 - (epoch - cfg.epochs_const) / span)
 
 
-@dataclass
-class AdamState:
-    m: List[np.ndarray]
-    v: List[np.ndarray]
-    t: int = 0
-
-
-def adam_step(params, grads, state, lr, beta1=0.5, beta2=0.999, eps=1e-8):
-    """Standard bias-corrected Adam update, in place."""
-    state.t += 1
-    t = state.t
+def adam_step(params, grads, m, v, t, lr, beta1=0.5, beta2=0.999, eps=1e-8):
+    """Standard bias-corrected Adam update number t (from 1) of params and
+    their moments m and v, in place."""
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, mp, vp in zip(params, grads, m, v):
         if g.shape != p.data.shape:
             raise ValueError("gradient shape %s does not match parameter %s" % (g.shape, p.data.shape))
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        mp *= beta1
+        mp += (1.0 - beta1) * g
+        vp *= beta2
+        vp += (1.0 - beta2) * (g * g)
+        p.data -= lr * (mp / c1) / (np.sqrt(vp / c2) + eps)
 
 
 class Adam:
     def __init__(self, params, beta1=0.5, beta2=0.999, eps=1e-8):
         self.params = list(params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.state = AdamState(
-            m=[np.zeros_like(p.data) for p in self.params],
-            v=[np.zeros_like(p.data) for p in self.params],
-        )
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
 
     def step(self, lr):
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        adam_step(self.params, grads, self.state, lr,
+        self.t += 1
+        adam_step(self.params, grads, self.m, self.v, self.t, lr,
                   beta1=self.beta1, beta2=self.beta2, eps=self.eps)
 
     def state_arrays(self):
-        out = [("t", np.array(float(self.state.t)))]
-        for i, (m, v) in enumerate(zip(self.state.m, self.state.v)):
+        out = [("t", np.array(float(self.t)))]
+        for i, (m, v) in enumerate(zip(self.m, self.v)):
             out += [("m.%04d" % i, m), ("v.%04d" % i, v)]
         return out
 
     def load_state_arrays(self, get):
-        self.state.t = int(get("t"))
-        for i, (m, v) in enumerate(zip(self.state.m, self.state.v)):
+        self.t = int(get("t"))
+        for i, (m, v) in enumerate(zip(self.m, self.v)):
             m[...] = get("m.%04d" % i)
             v[...] = get("v.%04d" % i)
 
@@ -285,7 +271,6 @@ class Trainer:
         self.epoch = 0
         self.step_count = 0
         self.history: List[EpochStats] = []
-        self.checkpoint_paths: List[str] = []  # periodic checkpoints, as written
 
     # -- single optimization step ------------------------------------------
 
@@ -344,7 +329,7 @@ class Trainer:
             gan_g_xy=loss_g_xy.item(), gan_g_yx=loss_g_yx.item(),
             gan_d_x=d_losses["gan_d_x"], gan_d_y=d_losses["gan_d_y"],
             cyc=cyc.item(), idt=None if idt is None else idt.item(),
-            total_g=total.item(), lambda_cyc=cfg.lambda_cyc,
+            total_g=total.item(),
         )
         for term in LossBundle.FIELDS:
             v = getattr(bundle, term)
@@ -355,10 +340,10 @@ class Trainer:
 
     # -- full run ----------------------------------------------------------
 
-    def run(self, dataset, checkpoint_dir=None):
+    def run(self, dataset, on_epoch=None):
         """Iterate epochs with independently shuffled unpaired domains;
-        appends per-epoch mean losses (and wall seconds) to history and
-        each periodic checkpoint's path to checkpoint_paths."""
+        appends per-epoch mean losses (and wall seconds) to history, then
+        calls on_epoch(self), if given, after each epoch."""
         cfg = self.cfg
         n_x, n_y = len(dataset.domain_x), len(dataset.domain_y)
         if min(n_x, n_y) < cfg.batch_size:
@@ -380,10 +365,8 @@ class Trainer:
             seconds = time.perf_counter() - t0
             self.history.append(EpochStats(self.epoch, _mean_bundle(bundles, cfg), seconds))
             self.epoch += 1
-            if checkpoint_dir and cfg.checkpoint_every and self.epoch % cfg.checkpoint_every == 0:
-                path = os.path.join(checkpoint_dir, "epoch_%04d.ckpt" % self.epoch)
-                self.checkpoint_save(path)
-                self.checkpoint_paths.append(path)
+            if on_epoch is not None:
+                on_epoch(self)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -443,7 +426,6 @@ def _mean_bundle(bundles, cfg):
         cyc=m([b.cyc for b in bundles]),
         idt=m([b.idt for b in bundles]) if cfg.idt_enabled else None,
         total_g=m([b.total_g for b in bundles]),
-        lambda_cyc=cfg.lambda_cyc,
     )
 
 

@@ -135,6 +135,51 @@ class TestTrain:
         listed = [ln for ln in manifest.splitlines() if ln.startswith("checkpoint = ")]
         assert listed == ["checkpoint = %s" % (out / "epoch_0001.ckpt")]
 
+    def test_killed_run_keeps_each_finished_epoch(self, tmp_path, corpus, monkeypatch):
+        # a BaseException that is not an Exception stands in for a kill: no
+        # failure record is written, so what is left is the last epoch's
+        from drawcycle.training import Trainer
+
+        class Killed(BaseException):
+            pass
+
+        train_step = Trainer.train_step
+
+        def step(self, x_images, y_images, lr):
+            if self.epoch == 2:
+                raise Killed()
+            return train_step(self, x_images, y_images, lr)
+
+        monkeypatch.setattr(Trainer, "train_step", step)
+        cfg_path = tmp_path / "k.cfg"
+        write_config(cfg_path, epochs_total=3, epochs_const=3, checkpoint_every=1)
+        out = tmp_path / "krun"
+        with pytest.raises(Killed):
+            main(["train", "--data", str(corpus), "--config", str(cfg_path),
+                  "--out", str(out)])
+        rows = (out / "losses.csv").read_text().strip().split("\n")
+        assert len(rows) == 3 and rows[2].startswith("1,")
+        manifest = (out / "manifest.txt").read_text()
+        assert "status = running" in manifest
+        assert "epochs_completed = 2" in manifest
+        on_disk = sorted(n for n in os.listdir(out) if n.endswith(".ckpt"))
+        assert on_disk == ["epoch_0001.ckpt", "epoch_0002.ckpt"]
+        listed = [ln for ln in manifest.splitlines() if ln.startswith("checkpoint = ")]
+        assert listed == ["checkpoint = %s" % (out / n) for n in on_disk]
+
+    def test_last_epoch_saved_once_as_final(self, tmp_path, corpus):
+        cfg_path = tmp_path / "e.cfg"
+        write_config(cfg_path, epochs_total=2, epochs_const=1, checkpoint_every=1)
+        out = tmp_path / "erun"
+        assert main(["train", "--data", str(corpus), "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        on_disk = sorted(n for n in os.listdir(out) if n.endswith(".ckpt"))
+        assert on_disk == ["epoch_0001.ckpt", "final.ckpt"]
+        manifest = (out / "manifest.txt").read_text()
+        assert "status = completed" in manifest
+        listed = [ln for ln in manifest.splitlines() if ln.startswith("checkpoint = ")]
+        assert listed == ["checkpoint = %s" % (out / n) for n in on_disk]
+
     def test_unknown_config_key_fails(self, tmp_path, corpus, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("momentum = 0.9\n")

@@ -245,12 +245,12 @@ class TestNoiseDeviation:
     def test_zero_sigma_zero_deviation(self):
         net = small_gen(seed=30)
         imgs = [np.random.default_rng(0).integers(0, 256, size=(16, 16)).astype(np.float64)]
-        assert output_noise_deviation(net, imgs, 0.0) == 0.0
+        assert output_noise_deviation(net, imgs + imgs, 0.0) == [0.0, 0.0]
 
     def test_positive_sigma_positive_and_deterministic(self):
         net = small_gen(seed=31)
         imgs = [np.random.default_rng(1).integers(0, 256, size=(16, 16)).astype(np.float64)]
         a = output_noise_deviation(net, imgs, 0.1, seed=5)
         b = output_noise_deviation(net, imgs, 0.1, seed=5)
-        assert a > 0.0
+        assert len(a) == 1 and a[0] > 0.0
         assert a == b

@@ -9,7 +9,7 @@ from drawcycle.autograd import Tape, Tensor
 from drawcycle.data import SynthConfig, synth_generate
 from drawcycle.serialize import CheckpointError, read_entries, write_entries
 from drawcycle.training import (
-    Adam, AdamState, ImagePool, TrainConfig, Trainer, TrainingDiverged,
+    Adam, ImagePool, TrainConfig, Trainer, TrainingDiverged,
     adam_step, history_to_csv, lr_at_epoch, preset_config,
 )
 
@@ -101,8 +101,7 @@ class TestLrSchedule:
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         p = Tensor(np.array([3.0, -2.0]))
-        state = AdamState(m=[np.zeros(2)], v=[np.zeros(2)], t=0)
-        adam_step([p], [np.array([0.5, -4.0])], state, lr=0.01)
+        adam_step([p], [np.array([0.5, -4.0])], [np.zeros(2)], [np.zeros(2)], 1, lr=0.01)
         # bias correction makes the first update lr * sign(g) up to eps
         assert p.data[0] == pytest.approx(3.0 - 0.01, abs=1e-8)
         assert p.data[1] == pytest.approx(-2.0 + 0.01, abs=1e-8)
@@ -131,9 +130,8 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         p = Tensor(np.zeros(3))
-        state = AdamState(m=[np.zeros(3)], v=[np.zeros(3)], t=0)
         with pytest.raises(ValueError):
-            adam_step([p], [np.zeros(2)], state, lr=0.1)
+            adam_step([p], [np.zeros(2)], [np.zeros(3)], [np.zeros(3)], 1, lr=0.1)
 
     def test_converges_on_quadratic(self):
         p = Tensor(np.array([5.0]))
@@ -271,6 +269,13 @@ class TestRun:
         assert [h.epoch for h in tr.history] == [0, 1]
         assert tr.step_count == 6
         assert all(h.seconds > 0 for h in tr.history)
+
+    def test_on_epoch_sees_each_finished_epoch(self):
+        ds = tiny_dataset(n=2)
+        tr = Trainer(tiny_config(epochs_total=3, epochs_const=3, seed=4))
+        seen = []
+        tr.run(ds, on_epoch=lambda t: seen.append((t, t.epoch, [h.epoch for h in t.history])))
+        assert seen == [(tr, 1, [0]), (tr, 2, [0, 1]), (tr, 3, [0, 1, 2])]
 
     def test_empty_dataset_rejected(self):
         tr = Trainer(tiny_config())
