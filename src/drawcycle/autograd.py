@@ -297,7 +297,15 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         gm = g.reshape(B, O, Ho * Wo)
         _accumulate_weight_bias(weight, bias, gm, cols, g)
         if x.requires_grad:
-            accumulate_grad(x, _col2im(np.matmul(wm.T, gm), C, H, W, K, stride, padding, Ho, Wo))
+            if stride == 1 and padding < K and O <= C:
+                # a stride-1 input gradient is the correlation of g, padded by
+                # K-1-padding, with the flipped channel-swapped kernel: one GEMM
+                # on g's columns, which hold O/C as much as col2im's
+                wf = weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(C, O * K * K)
+                gx = np.matmul(wf, _im2col(g, K, 1, K - 1 - padding, H, W)).reshape(B, C, H, W)
+            else:
+                gx = _col2im(np.matmul(wm.T, gm), C, H, W, K, stride, padding, Ho, Wo)
+            accumulate_grad(x, gx)
 
     return from_op(out, (x, weight) if bias is None else (x, weight, bias), bwd)
 
@@ -328,23 +336,21 @@ def reflect_pad(x, pad):
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ValueError("reflect_pad expects a BCHW tensor")
-    B, C, H, W = x.data.shape
+    H, W = x.data.shape[2:]
     if pad < 0 or (pad > 0 and pad >= min(H, W)):
         raise ValueError("reflect pad %d too large for extents (%d, %d)" % (pad, H, W))
     out = Tensor(np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect"))
-    rowmap = np.abs(np.arange(-pad, H + pad))
-    rowmap = np.where(rowmap >= H, 2 * (H - 1) - rowmap, rowmap)
-    colmap = np.abs(np.arange(-pad, W + pad))
-    colmap = np.where(colmap >= W, 2 * (W - 1) - colmap, colmap)
 
     def bwd(g):
-        gx = np.zeros((B * C, H, W))
-        np.add.at(
-            gx,
-            (np.arange(B * C)[:, None, None], rowmap[None, :, None], colmap[None, None, :]),
-            g.reshape(B * C, H + 2 * pad, W + 2 * pad),
-        )
-        accumulate_grad(x, gx.reshape(B, C, H, W))
+        # fold each mirrored border back onto the row or column it copies:
+        # padded index -i copies i, and index n-1+i copies n-1-i
+        gc = g[:, :, :, pad:pad + W].copy()
+        gc[:, :, :, 1:pad + 1] += g[:, :, :, :pad][:, :, :, ::-1]
+        gc[:, :, :, W - 1 - pad:W - 1] += g[:, :, :, W + pad:][:, :, :, ::-1]
+        gx = gc[:, :, pad:pad + H].copy()
+        gx[:, :, 1:pad + 1] += gc[:, :, :pad][:, :, ::-1]
+        gx[:, :, H - 1 - pad:H - 1] += gc[:, :, H + pad:][:, :, ::-1]
+        accumulate_grad(x, gx)
 
     return from_op(out, (x,), bwd)
 

@@ -66,6 +66,9 @@ def cmd_train(args):
 
     try:
         trainer.run(dataset, on_epoch)
+    except KeyboardInterrupt:
+        _write_run_record(args, trainer, checkpoints, started, "interrupted")
+        raise
     except Exception as exc:
         # keep the completed epochs' losses and checkpoints, and record the failure
         _write_run_record(args, trainer, checkpoints, started, "failed: %s" % (exc,))
@@ -84,6 +87,7 @@ def _write_run_record(args, trainer, checkpoints, started, status):
     manifest = ["started = %s" % started,
                 "updated = %s" % time.strftime("%Y-%m-%dT%H:%M:%S"),
                 "status = %s" % status,
+                "pid = %d" % os.getpid(),
                 "data = %s" % os.path.abspath(args.data),
                 "epochs_completed = %d" % trainer.epoch,
                 "losses_csv = %s" % os.path.abspath(losses_path)]

@@ -150,7 +150,7 @@ def relu_family(x, kind="relu", alpha=0.0):
     elif kind != "leaky":
         raise ValueError("unknown rectifier kind %r" % (kind,))
     slope = np.where(x.data > 0, 1.0, alpha)
-    out = Tensor(np.where(x.data > 0, x.data, alpha * x.data))
+    out = Tensor(x.data * slope)
 
     def bwd(g):
         accumulate_grad(x, g * slope)
@@ -287,11 +287,7 @@ def kwinners_forward(x, state, train=False):
     else:
         scores = flat
 
-    # stable argsort of -scores: ties resolve to the lowest unit index
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    keep = np.zeros_like(flat)
-    rows = np.arange(B)[:, None]
-    keep[rows, order] = 1.0
+    keep = _top_k_mask(scores, k).astype(np.float64)
     out = Tensor((flat * keep).reshape(x.data.shape))
 
     if train:
@@ -301,6 +297,27 @@ def kwinners_forward(x, state, train=False):
         accumulate_grad(x, (g.reshape(B, -1) * keep).reshape(x.data.shape))
 
     return from_op(out, (x,), bwd)
+
+
+def _top_k_mask(scores, k):
+    """Boolean (B, n) mask of each row's k highest scores, the same units
+    a stable argsort of -scores ranks first: ties resolve to the lowest unit
+    index, and NaNs rank last.  Only each row's k-th score is found, by a
+    partition, not a full sort."""
+    neg = -scores
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    above = neg < kth
+    tie = neg == kth
+    nan_rows = np.isnan(kth[:, 0])
+    if nan_rows.any():
+        # fewer than k numbers: all of them win, and NaNs fill up the rest
+        tie[nan_rows] = np.isnan(neg[nan_rows])
+        above[nan_rows] = ~tie[nan_rows]
+    need = k - np.count_nonzero(above, axis=1, keepdims=True)
+    if (np.count_nonzero(tie, axis=1, keepdims=True) > need).any():
+        # more ties than places left: the lowest unit indices take them
+        tie &= np.cumsum(tie, axis=1) <= need
+    return above | tie
 
 
 def kwinners_update_duty_cycle(state, winner_indicators):

@@ -163,6 +163,23 @@ class TestConv2d:
                     return run(*args).item()
             assert rel_error(g, numeric_grad(f, arr)) < REL_TOL
 
+    @pytest.mark.parametrize("C,O", [(4, 2), (3, 3), (2, 5)])
+    @pytest.mark.parametrize("K", [3, 4, 7])
+    def test_stride1_input_gradient_matches_col2im(self, C, O, K):
+        # reference: scatter the column gradients back with col2im
+        rng = np.random.default_rng(17)
+        B, H, W = 2, 9, 8
+        for pad in range(K):
+            x = rng.normal(size=(B, C, H, W))
+            w = rng.normal(size=(O, C, K, K))
+            Ho, Wo = H + 2 * pad - K + 1, W + 2 * pad - K + 1
+            g = rng.normal(size=(B, O, Ho, Wo))
+            _, (gx,) = scalar_loss(
+                lambda a: ag.sum_all(ag.mul(ag.conv2d(a, Tensor(w), padding=pad), Tensor(g))), x)
+            cols = np.matmul(w.reshape(O, C * K * K).T, g.reshape(B, O, Ho * Wo))
+            ref = ag._col2im(cols, C, H, W, K, 1, pad, Ho, Wo)
+            np.testing.assert_allclose(gx, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
 
 class TestConvTranspose2d:
     def test_identity_kernel(self):
@@ -234,6 +251,27 @@ class TestReflectPad:
 
         _, (g,) = scalar_loss(lambda a: ag.mean(ag.tanh(ag.reflect_pad(a, 2))), x)
         assert rel_error(g, numeric_grad(f, x)) < REL_TOL
+
+    @pytest.mark.parametrize("pad", [0, 1, 3, 6])
+    def test_backward_matches_add_at(self, pad):
+        # reference: np.add.at of each padded entry onto the entry it copies;
+        # the two sum up to 9 terms per entry in different orders
+        rng = np.random.default_rng(19)
+        B, C, H, W = 2, 3, 7, 9
+        g = rng.normal(size=(B, C, H + 2 * pad, W + 2 * pad))
+        _, (gx,) = scalar_loss(
+            lambda a: ag.sum_all(ag.mul(ag.reflect_pad(a, pad), Tensor(g))),
+            rng.normal(size=(B, C, H, W)))
+        rows = np.abs(np.arange(-pad, H + pad))
+        rows = np.where(rows >= H, 2 * (H - 1) - rows, rows)
+        cols = np.abs(np.arange(-pad, W + pad))
+        cols = np.where(cols >= W, 2 * (W - 1) - cols, cols)
+        index = (np.arange(B)[:, None, None, None], np.arange(C)[None, :, None, None],
+                 rows[None, None, :, None], cols[None, None, None, :])
+        ref, ref_abs = np.zeros((B, C, H, W)), np.zeros((B, C, H, W))
+        np.add.at(ref, index, g)
+        np.add.at(ref_abs, index, np.abs(g))
+        assert np.all(np.abs(gx - ref) <= 8 * np.finfo(np.float64).eps * ref_abs)
 
 
 class TestReduce:

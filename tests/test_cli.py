@@ -161,11 +161,38 @@ class TestTrain:
         assert len(rows) == 3 and rows[2].startswith("1,")
         manifest = (out / "manifest.txt").read_text()
         assert "status = running" in manifest
+        assert "pid = %d" % os.getpid() in manifest
         assert "epochs_completed = 2" in manifest
         on_disk = sorted(n for n in os.listdir(out) if n.endswith(".ckpt"))
         assert on_disk == ["epoch_0001.ckpt", "epoch_0002.ckpt"]
         listed = [ln for ln in manifest.splitlines() if ln.startswith("checkpoint = ")]
         assert listed == ["checkpoint = %s" % (out / n) for n in on_disk]
+
+    def test_interrupted_run_records_interruption(self, tmp_path, corpus, monkeypatch):
+        # Ctrl-C is a KeyboardInterrupt, not an Exception: it is recorded, then re-raised
+        from drawcycle.training import Trainer
+        train_step = Trainer.train_step
+
+        def step(self, x_images, y_images, lr):
+            if self.epoch == 1:
+                raise KeyboardInterrupt()
+            return train_step(self, x_images, y_images, lr)
+
+        monkeypatch.setattr(Trainer, "train_step", step)
+        cfg_path = tmp_path / "i.cfg"
+        write_config(cfg_path, epochs_total=3, epochs_const=3, checkpoint_every=1)
+        out = tmp_path / "irun"
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", "--data", str(corpus), "--config", str(cfg_path),
+                  "--out", str(out)])
+        rows = (out / "losses.csv").read_text().strip().split("\n")
+        assert len(rows) == 2 and rows[1].startswith("0,")
+        manifest = (out / "manifest.txt").read_text()
+        assert "status = interrupted" in manifest
+        assert "pid = %d" % os.getpid() in manifest
+        assert "epochs_completed = 1" in manifest
+        listed = [ln for ln in manifest.splitlines() if ln.startswith("checkpoint = ")]
+        assert listed == ["checkpoint = %s" % (out / "epoch_0001.ckpt")]
 
     def test_last_epoch_saved_once_as_final(self, tmp_path, corpus):
         cfg_path = tmp_path / "e.cfg"

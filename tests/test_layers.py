@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -193,6 +194,35 @@ class TestKWinners:
         state = KWinners(k=1, boost_strength=0.0)
         out = kwinners_forward(Tensor([[2.0, 2.0, 1.0]]), state)
         assert np.array_equal(out.data, [[2.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_matches_stable_argsort(self, B, train):
+        # tie-heavy integer scores with signed zeros and NaNs, against a stable
+        # argsort of -scores: ties go to the lowest index and NaNs rank last,
+        # also when fewer than k scores are numbers
+        rng = np.random.default_rng(7)
+        n = 40
+        for k, nan_frac in itertools.product((1, math.ceil(0.3 * n), n), (0.1, 0.8)):
+            x = rng.integers(-3, 4, size=(B, 2, 4, 5)).astype(np.float64)
+            x[x == 0] *= rng.choice([1.0, -1.0], size=x.shape)[x == 0]
+            x[rng.random(x.shape) < nan_frac] = np.nan
+            state = KWinners(k=k)
+            state._bind(n)
+            state.duty_cycle[:] = rng.integers(0, 3, size=n) / 4.0
+            duty = state.duty_cycle.copy()
+            flat = x.reshape(B, n)
+            scores = flat * np.exp(state.boost_strength * (k / n - duty)) if train else flat
+            order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+            keep = np.zeros((B, n))
+            keep[np.arange(B)[:, None], order] = 1.0
+            out = kwinners_forward(Tensor(x), state, train=train).data
+            assert np.array_equal(out, (flat * keep).reshape(x.shape), equal_nan=True)
+            if train:
+                a = 1.0 / state.duty_period
+                assert np.array_equal(state.duty_cycle, duty * (1.0 - a) + a * keep.mean(axis=0))
+            else:
+                assert np.array_equal(state.duty_cycle, duty)
 
     def test_boosting_prefers_low_duty_unit(self):
         state = KWinners(k=1, boost_strength=1.5, duty_period=1000)
