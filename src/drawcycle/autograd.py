@@ -379,10 +379,6 @@ def mean(x):
     return reduce(x, "mean")
 
 
-def sum_all(x):
-    return reduce(x, "sum")
-
-
 def backward(root, tape):
     """Seed the scalar ``root`` with a unit gradient and replay the tape
     in reverse, accumulating gradients into every reachable tensor."""

@@ -20,7 +20,7 @@ from .data import (
 from .metrics import evaluate_dataset, report_summary, report_to_csv
 from .models import output_noise_deviation
 from .autograd import Tensor
-from .training import TrainConfig, Trainer, history_to_csv
+from .training import TrainConfig, Trainer, history_to_csv, load_generator, lr_at_epoch
 
 
 def _write_atomic(path, text):
@@ -58,6 +58,10 @@ def cmd_train(args):
         checkpoints.append(path)
 
     def on_epoch(_):
+        last = trainer.history[-1]
+        print("epoch %d/%d: %.2f s, lr %.6f, total_g %.4f"
+              % (trainer.epoch, cfg.epochs_total, last.seconds,
+                 lr_at_epoch(cfg, last.epoch), last.means.total_g), file=sys.stderr)
         # the last epoch's state is saved once, as final.ckpt, after the run
         every = cfg.checkpoint_every
         if every and trainer.epoch % every == 0 and trainer.epoch < cfg.epochs_total:
@@ -97,8 +101,7 @@ def _write_run_record(args, trainer, checkpoints, started, status):
 
 
 def cmd_translate(args):
-    trainer = Trainer.checkpoint_load(args.ckpt)
-    net = trainer.g_xy if args.direction == "x2y" else trainer.g_yx
+    net, _, _ = load_generator(args.ckpt, "g_xy" if args.direction == "x2y" else "g_yx")
     names = list_pgm(args.indir)
     if not names:
         raise ValueError("no .pgm files in %s" % (args.indir,))
@@ -202,9 +205,9 @@ def cmd_noise_report(args):
     images = _load_pgm_dir(args.data, list_pgm(args.data))
     results = []
     for label, path in (("a", args.ckpt_a), ("b", args.ckpt_b)):
-        trainer = Trainer.checkpoint_load(path)
-        devs = output_noise_deviation(trainer.g_xy, images, args.sigma, seed=args.seed)
-        results.append((label, trainer.cfg.variant, path, trainer.epoch, devs))
+        net, cfg, epochs = load_generator(path, "g_xy")
+        devs = output_noise_deviation(net, images, args.sigma, seed=args.seed)
+        results.append((label, cfg.variant, path, epochs, devs))
     for label, variant, path, epochs, devs in results:
         q1, median, q3 = np.percentile(devs, [25, 50, 75])
         # the mean stays the third token from the end: tests read it there

@@ -45,7 +45,12 @@ class Layer:
 
     def load_state_arrays(self, get):
         for name, t in self.tensors:
-            t.data[...] = get(name)
+            value = get(name)
+            # a smaller array would broadcast into the tensor silently
+            if np.shape(value) != t.data.shape:
+                raise ValueError("state %r has shape %s, expected %s"
+                                 % (name, np.shape(value), t.data.shape))
+            t.data[...] = value
 
 
 class Conv2d(Layer):

@@ -5,6 +5,8 @@ raw bytes) in an explicit little-endian format with a version tag, so
 save/load round trips are bit-exact across platforms.
 """
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -77,48 +79,59 @@ def write_entries(path, entries):
             fh.write(np.ascontiguousarray(arr).astype(dt).tobytes())
 
 
-def read_entries(path):
-    """Read a container written by ``write_entries`` into an ordered dict."""
+def read_entries(path, keep=None):
+    """Read a container written by ``write_entries`` into an ordered dict.
+
+    With ``keep``, a predicate on entry names, only the entries it accepts
+    are read; the data of every other entry is seeked past.  Either way
+    every entry header is walked, and each length checked against the file
+    size, so a truncated or damaged container, or one with bytes after its
+    last entry, is a ``CheckpointError``.
+    """
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        fh = open(path, "rb")
     except OSError as exc:
         raise CheckpointError("cannot read %s: %s" % (path, exc))
-    if blob[:4] != MAGIC:
-        raise CheckpointError("%s is not a drawcycle checkpoint (bad magic)" % (path,))
-    off = 4
-    try:
-        (count,) = struct.unpack_from("<I", blob, off)
-        off += 4
+    with fh:
+        if fh.read(4) != MAGIC:
+            raise CheckpointError("%s is not a drawcycle checkpoint (bad magic)" % (path,))
+        end = os.fstat(fh.fileno()).st_size
+        pos = 4
+
+        def advance(n, what):
+            nonlocal pos
+            if pos + n > end:
+                raise CheckpointError("%s: truncated %s" % (path, what))
+            pos += n
+
+        def take(n, what):
+            advance(n, what)
+            return fh.read(n)
+
+        (count,) = struct.unpack("<I", take(4, "header"))
         out = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            name = blob[off:off + nlen].decode("utf-8")
-            off += nlen
-            kind, ndim = struct.unpack_from("<BB", blob, off)
-            off += 2
+        for i in range(count):
+            (nlen,) = struct.unpack("<H", take(2, "entry %d" % i))
+            try:
+                name = take(nlen, "entry %d" % i).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError("%s: corrupt name of entry %d" % (path, i))
+            what = "entry %r" % (name,)
+            kind, ndim = struct.unpack("<BB", take(2, what))
             if kind == _KIND_RAW:
-                (size,) = struct.unpack_from("<Q", blob, off)
-                off += 8
-                out[name] = blob[off:off + size]
-                if len(out[name]) != size:
-                    raise CheckpointError("truncated entry %r" % (name,))
-                off += size
-                continue
-            shape = []
-            for _ in range(ndim):
-                (extent,) = struct.unpack_from("<Q", blob, off)
-                off += 8
-                shape.append(extent)
-            dt = "<u8" if kind == _KIND_U8 else "<f8"
-            size = int(np.prod(shape)) * 8 if shape else 8
-            raw = blob[off:off + size]
-            if len(raw) != size:
-                raise CheckpointError("truncated entry %r" % (name,))
-            off += size
-            arr = np.frombuffer(raw, dtype=dt)
-            out[name] = arr.reshape(shape) if shape else arr.reshape(())
-        return out
-    except struct.error:
-        raise CheckpointError("corrupt checkpoint %s" % (path,))
+                (size,) = struct.unpack("<Q", take(8, what))
+            elif kind in (_KIND_F8, _KIND_U8):
+                shape = struct.unpack("<%dQ" % ndim, take(8 * ndim, what))
+                size = 8 * math.prod(shape)
+            else:
+                raise CheckpointError("%s: unknown kind %d of %s" % (path, kind, what))
+            if keep is None or keep(name):
+                data = take(size, what)
+                out[name] = data if kind == _KIND_RAW else np.frombuffer(
+                    data, dtype="<u8" if kind == _KIND_U8 else "<f8").reshape(shape)
+            else:
+                advance(size, what)
+                fh.seek(pos)
+        if pos != end:
+            raise CheckpointError("%s: %d bytes after the last entry" % (path, end - pos))
+    return out

@@ -12,6 +12,7 @@ from typing import List
 import numpy as np
 
 from . import autograd as ag
+from . import serialize
 from .autograd import Tape, Tensor
 from .data import image_to_net
 from .models import DiscriminatorNet, GeneratorNet
@@ -245,19 +246,25 @@ class EpochStats:
 CHECKPOINT_VERSION = b"drawcycle-checkpoint-1"
 
 
+def build_generator(cfg, name):
+    """The generator ``name`` ("g_xy" or "g_yx") of a config, freshly
+    initialised as a ``Trainer`` builds it."""
+    kcfg = {"k_frac": cfg.k_frac, "boost_strength": cfg.boost_strength,
+            "duty_period": cfg.duty_period}
+    return GeneratorNet(width=cfg.width, n_res=cfg.n_res, variant=cfg.variant,
+                        weight_sparsity=cfg.weight_sparsity, kwinners_cfg=kcfg,
+                        seed=cfg.seed * 4 + {"g_xy": 1, "g_yx": 2}[name])
+
+
 class Trainer:
     """Owns the four networks, their optimizers, pools, and RNG streams."""
 
     def __init__(self, cfg):
         cfg.validate()
         self.cfg = cfg
-        kcfg = {"k_frac": cfg.k_frac, "boost_strength": cfg.boost_strength,
-                "duty_period": cfg.duty_period}
-        gen = dict(width=cfg.width, n_res=cfg.n_res, variant=cfg.variant,
-                   weight_sparsity=cfg.weight_sparsity, kwinners_cfg=kcfg)
         disc = dict(width=cfg.width, activation=cfg.d_activation)
-        self.g_xy = GeneratorNet(seed=cfg.seed * 4 + 1, **gen)
-        self.g_yx = GeneratorNet(seed=cfg.seed * 4 + 2, **gen)
+        self.g_xy = build_generator(cfg, "g_xy")
+        self.g_yx = build_generator(cfg, "g_yx")
         self.d_x = DiscriminatorNet(seed=cfg.seed * 4 + 3, **disc)
         self.d_y = DiscriminatorNet(seed=cfg.seed * 4 + 4, **disc)
         self.opt_g = Adam(self.g_xy.params() + self.g_yx.params(),
@@ -390,15 +397,7 @@ class Trainer:
 
     @classmethod
     def checkpoint_load(cls, path):
-        entries = read_entries(path)
-        if entries.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError("%s: unsupported checkpoint version" % (path,))
-
-        def get(name):
-            if name not in entries:
-                raise CheckpointError("%s: missing checkpoint entry %r" % (path, name))
-            return entries[name]
-
+        get = _entry_getter(path, read_entries(path))
         try:
             cfg = _checkpoint_config(get("config").decode("utf-8"))
             trainer = cls(cfg)
@@ -411,6 +410,40 @@ class Trainer:
         except ValueError as exc:
             raise CheckpointError("%s: %s" % (path, exc))
         return trainer
+
+
+def _entry_getter(path, entries):
+    """Check a checkpoint's version; return a lookup of its entries that
+    raises ``CheckpointError`` naming a missing one."""
+    if entries.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError("%s: unsupported checkpoint version" % (path,))
+
+    def get(name):
+        if name not in entries:
+            raise CheckpointError("%s: missing checkpoint entry %r" % (path, name))
+        return entries[name]
+    return get
+
+
+def load_generator(path, name):
+    """Load only the generator ``name`` ("g_xy" or "g_yx") of a checkpoint,
+    for inference; returns (generator, config, epochs trained).  Only the
+    version, config, epoch and that generator's entries are read from the
+    file; ``Trainer.checkpoint_load`` reads everything, to resume."""
+    prefix = name + "."
+    # through the module attribute: bench/tracing.py wraps this module's
+    # read_entries name with a hook that takes the path alone
+    entries = serialize.read_entries(
+        path, keep=lambda key: key in ("version", "config", "epoch") or key.startswith(prefix))
+    get = _entry_getter(path, entries)
+    try:
+        cfg = _checkpoint_config(get("config").decode("utf-8"))
+        net = build_generator(cfg, name)
+        net.load_state_arrays(lambda key: get(prefix + key))
+        epoch = int(get("epoch"))
+    except ValueError as exc:
+        raise CheckpointError("%s: %s" % (path, exc))
+    return net, cfg, epoch
 
 
 def _mean_bundle(bundles, cfg):

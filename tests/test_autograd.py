@@ -27,7 +27,7 @@ class TestElementwise:
 
     def test_mul_by_zeros(self):
         x = np.array([1.5, -2.0, 3.0])
-        _, (gx, _) = scalar_loss(lambda a, b: ag.sum_all(ag.mul(a, b)), x, np.zeros(3))
+        _, (gx, _) = scalar_loss(lambda a, b: ag.reduce(ag.mul(a, b), "sum"), x, np.zeros(3))
         assert np.array_equal(gx, np.zeros(3))
 
     def test_sub_self_is_zero(self):
@@ -47,12 +47,12 @@ class TestElementwise:
         assert ag.tanh(Tensor([0.0])).data[0] == 0.0
 
     def test_abs_value_and_grad(self):
-        _, (g,) = scalar_loss(lambda a: ag.sum_all(ag.abs_(a)), np.array([-3.5]))
+        _, (g,) = scalar_loss(lambda a: ag.reduce(ag.abs_(a), "sum"), np.array([-3.5]))
         assert ag.abs_(Tensor([-3.5])).data[0] == 3.5
         assert g[0] == -1.0
 
     def test_abs_subgradient_at_zero(self):
-        _, (g,) = scalar_loss(lambda a: ag.sum_all(ag.abs_(a)), np.array([0.0]))
+        _, (g,) = scalar_loss(lambda a: ag.reduce(ag.abs_(a), "sum"), np.array([0.0]))
         assert g[0] == 0.0
 
     def test_softplus_at_zero(self):
@@ -175,7 +175,8 @@ class TestConv2d:
             Ho, Wo = H + 2 * pad - K + 1, W + 2 * pad - K + 1
             g = rng.normal(size=(B, O, Ho, Wo))
             _, (gx,) = scalar_loss(
-                lambda a: ag.sum_all(ag.mul(ag.conv2d(a, Tensor(w), padding=pad), Tensor(g))), x)
+                lambda a: ag.reduce(ag.mul(ag.conv2d(a, Tensor(w), padding=pad), Tensor(g)), "sum"),
+                x)
             cols = np.matmul(w.reshape(O, C * K * K).T, g.reshape(B, O, Ho * Wo))
             ref = ag._col2im(cols, C, H, W, K, 1, pad, Ho, Wo)
             np.testing.assert_allclose(gx, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -260,7 +261,7 @@ class TestReflectPad:
         B, C, H, W = 2, 3, 7, 9
         g = rng.normal(size=(B, C, H + 2 * pad, W + 2 * pad))
         _, (gx,) = scalar_loss(
-            lambda a: ag.sum_all(ag.mul(ag.reflect_pad(a, pad), Tensor(g))),
+            lambda a: ag.reduce(ag.mul(ag.reflect_pad(a, pad), Tensor(g)), "sum"),
             rng.normal(size=(B, C, H, W)))
         rows = np.abs(np.arange(-pad, H + pad))
         rows = np.where(rows >= H, 2 * (H - 1) - rows, rows)
@@ -292,7 +293,8 @@ class TestReduce:
 
 class TestBackward:
     def test_sum_root_gives_ones(self):
-        _, (g,) = scalar_loss(lambda a: ag.sum_all(a), np.random.default_rng(0).normal(size=(2, 3)))
+        _, (g,) = scalar_loss(lambda a: ag.reduce(a, "sum"),
+                              np.random.default_rng(0).normal(size=(2, 3)))
         assert np.array_equal(g, np.ones((2, 3)))
 
     def test_chain_rule_mean_square(self):
@@ -325,7 +327,7 @@ class TestBackward:
         tape = Tape()
         with tape:
             x = Tensor([1.0, 2.0], requires_grad=True)
-            loss = ag.sum_all(x)
+            loss = ag.reduce(x, "sum")
         ag.backward(loss, tape)
         ag.backward(loss, tape)
         assert np.array_equal(x.grad, [2.0, 2.0])

@@ -207,6 +207,23 @@ class TestTrain:
         listed = [ln for ln in manifest.splitlines() if ln.startswith("checkpoint = ")]
         assert listed == ["checkpoint = %s" % (out / n) for n in on_disk]
 
+    def test_progress_line_per_epoch(self, tmp_path, corpus, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path, seed=4, epochs_total=2, epochs_const=0)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(corpus), "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.strip().split("\n")
+        assert [ln.split(":")[0] for ln in lines] == ["epoch 1/2", "epoch 2/2"]
+        rows = (out / "losses.csv").read_text().strip().split("\n")[1:]
+        for line, row, lr in zip(lines, rows, ("0.000200", "0.000100")):
+            seconds, lr_part, total_part = line.split(": ", 1)[1].split(", ")
+            assert seconds.endswith(" s") and float(seconds[:-2]) > 0
+            assert lr_part == "lr " + lr
+            assert total_part == "total_g %.4f" % float(row.split(",")[-1])
+        assert captured.out == "trained 2 epochs; outputs in %s\n" % (out,)
+
     def test_unknown_config_key_fails(self, tmp_path, corpus, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("momentum = 0.9\n")
@@ -244,6 +261,21 @@ class TestTranslate:
                    "--in", str(empty), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+    def test_truncated_checkpoint_fails_without_outputs(self, trained, corpus, tmp_path,
+                                                        capsys):
+        data = (trained / "final.ckpt").read_bytes()
+        ckpt = tmp_path / "final.ckpt"
+        # the cut falls in rng_x, an entry the generator-only read skips
+        ckpt.write_bytes(data[:len(data) - 100])
+        out = tmp_path / "o"
+        for direction in ("x2y", "y2x"):
+            rc = main(["translate", "--ckpt", str(ckpt), "--in", str(corpus / "testX"),
+                       "--out", str(out), "--direction", direction])
+            assert rc == 1
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestEvaluate:
@@ -359,3 +391,22 @@ class TestNoiseReport:
         assert lines[0].split()[-3] == lines[1].split()[-3]
         # each checkpoint's training budget is printed
         assert all("epochs 1)" in ln for ln in lines)
+
+    def test_line_matches_full_trainer_load(self, trained, corpus, capsys):
+        # the report's figures from the whole trainer's g_xy, as before
+        # noise-report loaded only the generator
+        from drawcycle.models import output_noise_deviation
+        from drawcycle.training import Trainer
+        ckpt = str(trained / "final.ckpt")
+        rc = main(["noise-report", "--ckpt-a", ckpt, "--ckpt-b", ckpt,
+                   "--data", str(corpus / "testX"), "--sigma", "0.05", "--seed", "3"])
+        assert rc == 0
+        trainer = Trainer.checkpoint_load(ckpt)
+        names = sorted(os.listdir(corpus / "testX"))
+        devs = output_noise_deviation(trainer.g_xy, [load_pgm(str(corpus / "testX" / n))
+                                                     for n in names], 0.05, seed=3)
+        q1, median, q3 = np.percentile(devs, [25, 50, 75])
+        expected = ["generator %s (dense_relu, %s, epochs 1): output L1 deviation at sigma "
+                    "0.050: median %.6f, quartiles %.6f %.6f, mean %.6f (2 images)"
+                    % (label, ckpt, median, q1, q3, float(np.mean(devs))) for label in "ab"]
+        assert capsys.readouterr().out.strip().split("\n") == expected

@@ -145,7 +145,7 @@ class TestReluFamily:
         tape = Tape()
         with tape:
             x = Tensor([0.0], requires_grad=True)
-            loss = ag.sum_all(relu_family(x, "leaky", alpha=0.3))
+            loss = ag.reduce(relu_family(x, "leaky", alpha=0.3), "sum")
         ag.backward(loss, tape)
         assert x.grad[0] == 0.3
 
@@ -174,7 +174,7 @@ class TestRReLU:
         with tape:
             x = Tensor(np.full(50, -1.0), requires_grad=True)
             out = rrelu_forward(x, np.random.default_rng(5), train=True)
-            loss = ag.sum_all(out)
+            loss = ag.reduce(out, "sum")
         ag.backward(loss, tape)
         assert np.allclose(x.grad, -out.data)  # slope = out / x with x = -1
 
@@ -250,7 +250,7 @@ class TestKWinners:
             with tape:
                 t = Tensor(x, requires_grad=True)
                 out = kwinners_forward(t, state, train=True)
-                loss = ag.sum_all(ag.mul(out, out))
+                loss = ag.reduce(ag.mul(out, out), "sum")
             ag.backward(loss, tape)
             flat = out.data.reshape(2, -1)
             assert np.all((flat != 0).sum(axis=1) == 5)

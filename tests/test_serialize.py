@@ -68,6 +68,70 @@ class TestEntries:
             read_entries(str(p))
 
 
+def _small_container(path):
+    # every entry kind, a scalar and a multi-byte name
+    write_entries(path, [("a", np.arange(3.0)), ("\u00fc", b"raw"),
+                         ("s", np.array(2.5)), ("u", np.array([1, 2], dtype=np.uint64))])
+
+
+class TestSubsetRead:
+    def test_keeps_chosen_entries(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        _small_container(path)
+        full = read_entries(path)
+        part = read_entries(path, keep=lambda name: name in ("\u00fc", "u"))
+        assert list(part) == ["\u00fc", "u"]
+        assert part["\u00fc"] == full["\u00fc"]
+        assert np.array_equal(part["u"], full["u"]) and part["u"].dtype == np.uint64
+        assert read_entries(path, keep=lambda name: False) == {}
+
+
+class TestDamagedContainer:
+    KEEPS = (None, lambda name: name == "s", lambda name: False)
+
+    @pytest.mark.parametrize("keep", KEEPS, ids=("full", "one", "none"))
+    def test_every_truncation_rejected(self, tmp_path, keep):
+        # a cut at any byte offset, also inside an entry the subset read
+        # skips or through the two-byte name
+        path = str(tmp_path / "c.bin")
+        _small_container(path)
+        data = open(path, "rb").read()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(CheckpointError, match="truncated|bad magic"):
+                read_entries(str(cut), keep=keep)
+
+    @pytest.mark.parametrize("keep", KEEPS, ids=("full", "one", "none"))
+    def test_trailing_bytes_rejected(self, tmp_path, keep):
+        path = str(tmp_path / "c.bin")
+        _small_container(path)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(CheckpointError, match="1 bytes after the last entry"):
+            read_entries(path, keep=keep)
+
+    def test_corrupt_name_rejected(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        write_entries(path, [("\u00fc", b"")])
+        data = bytearray(open(path, "rb").read())
+        data[10] = 0xFF  # first byte of the name: never valid UTF-8
+        path2 = tmp_path / "bad.bin"
+        path2.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="corrupt name"):
+            read_entries(str(path2))
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        write_entries(path, [("a", b"")])
+        data = bytearray(open(path, "rb").read())
+        data[11] = 9  # the kind byte after magic, count, name length and name
+        path2 = tmp_path / "bad.bin"
+        path2.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="unknown kind 9"):
+            read_entries(str(path2))
+
+
 class TestRngState:
     def test_round_trip_continues_stream(self):
         rng = np.random.default_rng(123)

@@ -10,7 +10,7 @@ from drawcycle.data import SynthConfig, synth_generate
 from drawcycle.serialize import CheckpointError, read_entries, write_entries
 from drawcycle.training import (
     Adam, ImagePool, TrainConfig, Trainer, TrainingDiverged,
-    adam_step, history_to_csv, lr_at_epoch, preset_config,
+    adam_step, history_to_csv, load_generator, lr_at_epoch, preset_config,
 )
 
 
@@ -433,6 +433,93 @@ class TestCheckpoint:
         b1 = tr.train_step([ds.domain_x[1]], [ds.domain_y[1]], 1e-4)
         b2 = back.train_step([ds.domain_x[1]], [ds.domain_y[1]], 1e-4)
         assert b1.values() == b2.values()
+
+
+class TestLoadGenerator:
+    NAMES = ("g_xy", "g_yx")
+
+    def _checkpoint(self, tmp_path, variant, steps=1):
+        preset = {"dense_relu": "no_idt", "sparse_kwinners": "finetuned"}[variant]
+        cfg = preset_config(preset)
+        cfg.width, cfg.n_res, cfg.pool_size, cfg.seed = 2, 1, 4, 3
+        tr = Trainer(cfg.validate())
+        ds = tiny_dataset(n=2, seed=3)
+        for _ in range(steps):
+            tr.train_step([ds.domain_x[0]], [ds.domain_y[0]], 1e-3)
+        tr.epoch = 5
+        path = str(tmp_path / "c.ckpt")
+        tr.checkpoint_save(path)
+        return path, ds
+
+    def _assert_same_outputs(self, path, ds):
+        from drawcycle.data import image_to_net, net_to_image
+        trainer = Trainer.checkpoint_load(path)
+        for name in self.NAMES:
+            net, cfg, epoch = load_generator(path, name)
+            assert cfg == trainer.cfg and epoch == trainer.epoch == 5
+            for img in (ds.test_x[0], ds.test_y[0]):
+                x = Tensor(image_to_net(img))
+                a = getattr(trainer, name).forward(x).data
+                b = net.forward(x).data
+                assert a.tobytes() == b.tobytes()
+                assert net_to_image(a).tobytes() == net_to_image(b).tobytes()
+
+    @pytest.mark.parametrize("variant", ["dense_relu", "sparse_kwinners"])
+    def test_matches_full_load(self, tmp_path, variant):
+        self._assert_same_outputs(*self._checkpoint(tmp_path, variant))
+
+    def test_matches_full_load_before_any_forward(self, tmp_path):
+        # K-Winners layers not yet bound to a size are stored with meta -1
+        path, ds = self._checkpoint(tmp_path, "sparse_kwinners", steps=0)
+        assert read_entries(path)["g_xy.enc.act0.meta"][0] == -1
+        self._assert_same_outputs(path, ds)
+
+    def test_matches_full_load_with_retired_keys(self, tmp_path):
+        path, ds = self._checkpoint(tmp_path, "sparse_kwinners")
+        entries = read_entries(path)
+        entries["config"] += b"image_size = 32\nchannels = 1\nsaturating_gan = false\n"
+        write_entries(path, list(entries.items()))
+        self._assert_same_outputs(path, ds)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_missing_entry_of_chosen_generator_rejected(self, tmp_path, name):
+        path, _ = self._checkpoint(tmp_path, "sparse_kwinners")
+        entries = read_entries(path)
+        del entries[name + ".res0.conv1.mask"]
+        write_entries(path, list(entries.items()))
+        with pytest.raises(CheckpointError, match=repr(name + ".res0.conv1.mask")):
+            load_generator(path, name)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_other_generator_not_read(self, tmp_path, name):
+        path, _ = self._checkpoint(tmp_path, "dense_relu")
+        other = "g_yx" if name == "g_xy" else "g_xy"
+        want = load_generator(path, name)[0].forward(Tensor(np.zeros((1, 1, 32, 32)))).data
+        entries = read_entries(path)
+        del entries[other + ".enc.conv0.weight"]
+        entries[other + ".enc.conv0.bias"] = np.zeros(7)  # wrong shape
+        write_entries(path, list(entries.items()))
+        with pytest.raises(CheckpointError):
+            Trainer.checkpoint_load(path)
+        got = load_generator(path, name)[0].forward(Tensor(np.zeros((1, 1, 32, 32)))).data
+        assert got.tobytes() == want.tobytes()
+
+    def test_wrong_shape_entry_rejected(self, tmp_path):
+        path, _ = self._checkpoint(tmp_path, "dense_relu")
+        entries = read_entries(path)
+        entries["g_xy.enc.conv0.weight"] = np.array([0.5])  # would broadcast
+        write_entries(path, list(entries.items()))
+        for load in (lambda: load_generator(path, "g_xy"), lambda: Trainer.checkpoint_load(path)):
+            with pytest.raises(CheckpointError, match="'weight' has shape"):
+                load()
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path, _ = self._checkpoint(tmp_path, "dense_relu")
+        entries = read_entries(path)
+        entries["version"] = b"drawcycle-checkpoint-0"
+        write_entries(path, list(entries.items()))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
+            load_generator(path, "g_xy")
 
 
 class TestDivergenceGuard:
