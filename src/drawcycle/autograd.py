@@ -220,6 +220,13 @@ def softplus(a):
 # convolution kernels (im2col / col2im), shared by conv2d and its adjoint
 # conv_transpose2d.  Names follow conv2d: image side (B, C, H, W), column side
 # (B, O, Ho, Wo), weight (O, C, K, K).
+#
+# A stride-1 conv2d builds its K*K-expanded intermediate on the side with
+# fewer channels.  Forward: im2col of the image when O >= C; when O < C, one
+# GEMM of the reordered kernel with the padded image, then a sum of its K*K
+# shifted windows (_shifted_sum), and the weight gradient from windows of the
+# padded image against shifted copies of g (_window_weight_grad).  Input
+# gradient: im2col of g when O <= C, col2im otherwise.
 
 def _conv_args(name, x, weight, bias, stride, padding, transpose):
     """Check a (transposed) convolution's arguments; returns the tensors and
@@ -272,30 +279,83 @@ def _col2im(cols, C, H, W, K, stride, padding, Ho, Wo):
     return xp[:, :, padding:padding + H, padding:padding + W] if padding else xp
 
 
-def _accumulate_weight_bias(weight, bias, gm, cols, g):
-    """Weight gradient from column-side gradients ``gm`` (B, O, Ho*Wo) and
-    image columns ``cols``; bias gradient from the output gradient ``g``."""
+def _shifted_sum(y, Ho, Wo):
+    """Sum the K*K shifted (Ho, Wo) windows of per-offset image products
+    ``y`` (B, O, K, K, Hp, Wp): window (i, j) starts at row i, column j.
+    The gather that mirrors ``_col2im``'s scatter."""
+    K = y.shape[2]
+    out = y[:, :, 0, 0, :Ho, :Wo].copy()
+    for i in range(K):
+        for j in range(K):
+            if i or j:
+                out += y[:, :, i, j, i:i + Ho, j:j + Wo]
+    return out
+
+
+def _window_weight_grad(g, xflat, K, Wp):
+    """Weight gradient (O, C, K, K) of a stride-1 conv from the output
+    gradient ``g`` (B, O, Ho, Wo) and the flat padded image ``xflat``
+    (B, C, Hp*Wp), without the image's columns.  ``g`` padded to Wp columns
+    lines up with the flat image, so kernel row i is one GEMM of the image
+    window starting at row i (a view) with a copy of g shifted by each
+    column offset j: the K-wide intermediate is built on g's side."""
+    B, O, Ho = g.shape[:3]
+    N = Ho * Wp
+    gp = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, K - 1))).reshape(B, O, N)
+    # gs[b, n, o, j] = gp[b, o, n - j]; a shift past the end drops only the
+    # zero pad columns of g's last row, so no window leaves the image
+    gs = np.zeros((B, N, O, K))
+    for j in range(K):
+        gs[:, j:, :, j] = gp[:, :, :N - j].transpose(0, 2, 1)
+    gs = gs.reshape(B, N, O * K)
+    C = xflat.shape[1]
+    gw = np.empty((C, K, O, K))
+    for i in range(K):
+        gw[:, i] = np.matmul(xflat[:, :, i * Wp:i * Wp + N], gs).sum(axis=0).reshape(C, O, K)
+    return gw.transpose(2, 0, 1, 3)
+
+
+def _accumulate_weight_bias(weight, bias, weight_grad, g):
+    """Weight gradient from ``weight_grad()``, called only when the weight
+    needs it; bias gradient from the output gradient ``g``."""
     if weight.requires_grad:
-        gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
-        accumulate_grad(weight, gw.reshape(weight.data.shape))
+        accumulate_grad(weight, weight_grad().reshape(weight.data.shape))
     if bias is not None and bias.requires_grad:
         accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
+
+
+def _cols_weight_grad(gm, cols):
+    """Weight gradient from column-side gradients ``gm`` (B, O, Ho*Wo) and
+    image columns ``cols`` (B, C*K*K, Ho*Wo)."""
+    return np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0):
     """Cross-correlation of a BCHW input with an OIKK kernel."""
     x, weight, bias, (B, C, H, W, O, K, Ho, Wo) = _conv_args(
         "conv2d", x, weight, bias, stride, padding, transpose=False)
-    cols = _im2col(x.data, K, stride, padding, Ho, Wo)
     wm = weight.data.reshape(O, C * K * K)
-    out_data = np.matmul(wm, cols).reshape(B, O, Ho, Wo)
+    narrow = stride == 1 and O < C
+    if narrow:
+        # no K*K-wide columns; backward keeps only the padded image
+        xpad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
+        Hp, Wp = xpad.shape[2:]
+        xflat = xpad.reshape(B, C, Hp * Wp)
+        wr = weight.data.transpose(0, 2, 3, 1).reshape(O * K * K, C)
+        out_data = _shifted_sum(np.matmul(wr, xflat).reshape(B, O, K, K, Hp, Wp), Ho, Wo)
+    else:
+        cols = _im2col(x.data, K, stride, padding, Ho, Wo)
+        out_data = np.matmul(wm, cols).reshape(B, O, Ho, Wo)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, O, 1, 1)
     out = Tensor(out_data)
 
     def bwd(g):
         gm = g.reshape(B, O, Ho * Wo)
-        _accumulate_weight_bias(weight, bias, gm, cols, g)
+        if narrow:
+            _accumulate_weight_bias(weight, bias, lambda: _window_weight_grad(g, xflat, K, Wp), g)
+        else:
+            _accumulate_weight_bias(weight, bias, lambda: _cols_weight_grad(gm, cols), g)
         if x.requires_grad:
             if stride == 1 and padding < K and O <= C:
                 # a stride-1 input gradient is the correlation of g, padded by
@@ -326,7 +386,7 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0):
         gcols = _im2col(g, K, stride, padding, Ho, Wo)
         if x.requires_grad:
             accumulate_grad(x, np.matmul(wm, gcols).reshape(B, O, Ho, Wo))
-        _accumulate_weight_bias(weight, bias, xm, gcols, g)
+        _accumulate_weight_bias(weight, bias, lambda: _cols_weight_grad(xm, gcols), g)
 
     return from_op(out, (x, weight) if bias is None else (x, weight, bias), bwd)
 

@@ -28,6 +28,14 @@ def sparse_mask_init(shape, weight_sparsity, rng_seed):
     return mask.reshape(shape)
 
 
+def checked_state(name, value, shape):
+    """Return checkpoint state ``value`` after checking that it has
+    ``shape``: a smaller array would broadcast into its buffer silently."""
+    if np.shape(value) != shape:
+        raise ValueError("state %r has shape %s, expected %s" % (name, np.shape(value), shape))
+    return value
+
+
 class Layer:
     """One protocol for every layer.  ``tensors`` lists the named tensors
     a layer owns, in checkpoint order: those with ``requires_grad`` are its
@@ -45,12 +53,7 @@ class Layer:
 
     def load_state_arrays(self, get):
         for name, t in self.tensors:
-            value = get(name)
-            # a smaller array would broadcast into the tensor silently
-            if np.shape(value) != t.data.shape:
-                raise ValueError("state %r has shape %s, expected %s"
-                                 % (name, np.shape(value), t.data.shape))
-            t.data[...] = value
+            t.data[...] = checked_state(name, get(name), t.data.shape)
 
 
 class Conv2d(Layer):
@@ -267,7 +270,7 @@ class KWinners(Layer):
             return
         self.n = int(meta[0])
         self.k = int(meta[1])
-        self.duty_cycle = get("duty_cycle").copy()
+        self.duty_cycle = checked_state("duty_cycle", get("duty_cycle"), (self.n,)).copy()
 
 
 def kwinners_forward(x, state, train=False):

@@ -15,6 +15,7 @@ from . import autograd as ag
 from . import serialize
 from .autograd import Tape, Tensor
 from .data import image_to_net
+from .layers import checked_state
 from .models import DiscriminatorNet, GeneratorNet
 from .objectives import (
     LossBundle, cycle_consistency_loss, gan_loss_discriminator,
@@ -199,8 +200,8 @@ class Adam:
     def load_state_arrays(self, get):
         self.t = int(get("t"))
         for i, (m, v) in enumerate(zip(self.m, self.v)):
-            m[...] = get("m.%04d" % i)
-            v[...] = get("v.%04d" % i)
+            m[...] = checked_state("m.%04d" % i, get("m.%04d" % i), m.shape)
+            v[...] = checked_state("v.%04d" % i, get("v.%04d" % i), v.shape)
 
 
 class ImagePool:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,58 @@ class TestConv2d:
             cols = np.matmul(w.reshape(O, C * K * K).T, g.reshape(B, O, Ho * Wo))
             ref = ag._col2im(cols, C, H, W, K, 1, pad, Ho, Wo)
             np.testing.assert_allclose(gx, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("B", [1, 2])
+    @pytest.mark.parametrize("C,O", [(4, 1), (5, 2)])
+    @pytest.mark.parametrize("K", [3, 4, 7])
+    def test_narrow_output_matches_im2col(self, B, C, O, K):
+        # O < C runs without columns; reference: the im2col GEMM
+        rng = np.random.default_rng(23)
+        H, W = 9, 8
+        for pad in range(K):
+            x = rng.normal(size=(B, C, H, W))
+            w = rng.normal(size=(O, C, K, K))
+            b = rng.normal(size=O)
+            Ho, Wo = H + 2 * pad - K + 1, W + 2 * pad - K + 1
+            g = rng.normal(size=(B, O, Ho, Wo))
+            out = ag.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=pad).data
+            _, (_, gw, gb) = scalar_loss(
+                lambda a, ww, bb: ag.reduce(ag.mul(ag.conv2d(a, ww, bb, padding=pad), Tensor(g)), "sum"),
+                x, w, b)
+            cols = ag._im2col(x, K, 1, pad, Ho, Wo)
+            refs = (np.matmul(w.reshape(O, C * K * K), cols).reshape(B, O, Ho, Wo) + b.reshape(1, O, 1, 1),
+                    np.matmul(g.reshape(B, O, Ho * Wo), cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape),
+                    g.sum(axis=(0, 2, 3)))
+            for got, ref in zip((out, gw, gb), refs):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("pad", [0, 2])
+    def test_narrow_gradients(self, pad):
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(2, 3, 6, 5))
+        w = rng.normal(size=(2, 3, 4, 4))
+        b = rng.normal(size=2)
+
+        def run(xv, wv):
+            with Tape():
+                return ag.mean(ag.conv2d(Tensor(xv), Tensor(wv), Tensor(b), padding=pad)).item()
+
+        _, (gx, gw) = scalar_loss(lambda a, ww: ag.mean(ag.conv2d(a, ww, Tensor(b), padding=pad)), x, w)
+        assert rel_error(gx, numeric_grad(lambda v: run(v, w), x)) < REL_TOL
+        assert rel_error(gw, numeric_grad(lambda v: run(x, v), w)) < REL_TOL
+
+    def test_narrow_keeps_no_columns(self):
+        # a 32 -> 1, 7x7 exit conv: its column matrix alone is 51 MB
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(1, 32, 70, 70))
+        w = rng.normal(size=(1, 32, 7, 7))
+        tracemalloc.start()
+        try:
+            scalar_loss(lambda a, ww: ag.reduce(ag.conv2d(a, ww), "sum"), x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestConvTranspose2d:

@@ -409,6 +409,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="opt_g.t"):
             Trainer.checkpoint_load(path)
 
+    def _with_entry(self, tmp_path, name, value, **kw):
+        tr, _ = self._short_trainer(**kw)
+        path = str(tmp_path / "bad.ckpt")
+        tr.checkpoint_save(path)
+        entries = read_entries(path)
+        assert name in entries
+        entries[name] = value
+        write_entries(path, list(entries.items()))
+        return path
+
+    def test_wrong_shape_optimizer_moment_rejected(self, tmp_path):
+        # a shape-(1,) moment would broadcast into the (2, 1, 7, 7) buffer
+        path = self._with_entry(tmp_path, "opt_g.m.0000", np.array([0.5]))
+        with pytest.raises(CheckpointError, match="'m.0000' has shape"):
+            Trainer.checkpoint_load(path)
+
+    def test_wrong_length_duty_cycle_rejected(self, tmp_path):
+        path = self._with_entry(tmp_path, "g_xy.enc.act0.duty_cycle", np.zeros(3),
+                                variant="sparse_kwinners")
+        with pytest.raises(CheckpointError, match="'duty_cycle' has shape"):
+            Trainer.checkpoint_load(path)
+
     def test_fresh_entries_pinned(self, tmp_path):
         # names, order and bytes of every entry but the config text of a
         # freshly built seeded trainer: a renamed or reordered entry, or a
