@@ -133,8 +133,10 @@ def mul(a, b):
     out = Tensor(a.data * b.data)
 
     def bwd(g):
-        accumulate_grad(a, g * b.data)
-        accumulate_grad(b, g * a.data)
+        if a.requires_grad:
+            accumulate_grad(a, g * b.data)
+        if b.requires_grad:
+            accumulate_grad(b, g * a.data)
 
     return from_op(out, (a, b), bwd)
 

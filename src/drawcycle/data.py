@@ -100,26 +100,26 @@ def net_to_image(arr):
 # ---------------------------------------------------------------------------
 # stroke rasterization
 
-def draw_line(img, r0, c0, r1, c1, value=WHITE):
+def draw_line(img, r0, c0, r1, c1):
     n = int(max(abs(r1 - r0), abs(c1 - c0))) + 1
     rows = np.clip(np.round(np.linspace(r0, r1, n)).astype(int), 0, img.shape[0] - 1)
     cols = np.clip(np.round(np.linspace(c0, c1, n)).astype(int), 0, img.shape[1] - 1)
-    img[rows, cols] = value
+    img[rows, cols] = WHITE
 
 
-def draw_rect(img, r0, c0, r1, c1, value=WHITE):
-    draw_line(img, r0, c0, r0, c1, value)
-    draw_line(img, r1, c0, r1, c1, value)
-    draw_line(img, r0, c0, r1, c0, value)
-    draw_line(img, r0, c1, r1, c1, value)
+def draw_rect(img, r0, c0, r1, c1):
+    draw_line(img, r0, c0, r0, c1)
+    draw_line(img, r1, c0, r1, c1)
+    draw_line(img, r0, c0, r1, c0)
+    draw_line(img, r0, c1, r1, c1)
 
 
-def draw_circle(img, cr, cc, radius, value=WHITE):
+def draw_circle(img, cr, cc, radius):
     n = max(8, int(2 * np.pi * radius))
     th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     rows = np.clip(np.round(cr + radius * np.sin(th)).astype(int), 0, img.shape[0] - 1)
     cols = np.clip(np.round(cc + radius * np.cos(th)).astype(int), 0, img.shape[1] - 1)
-    img[rows, cols] = value
+    img[rows, cols] = WHITE
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, accumulate_grad, from_op
+from .serialize import rng_state_from_array, rng_state_to_array
+
+# added to each channel's variance before instance norm's square root
+NORM_EPS = 1e-5
 
 
 def sparse_mask_init(shape, weight_sparsity, rng_seed):
@@ -28,20 +32,13 @@ def sparse_mask_init(shape, weight_sparsity, rng_seed):
     return mask.reshape(shape)
 
 
-def checked_state(name, value, shape):
-    """Return checkpoint state ``value`` after checking that it has
-    ``shape``: a smaller array would broadcast into its buffer silently."""
-    if np.shape(value) != shape:
-        raise ValueError("state %r has shape %s, expected %s" % (name, np.shape(value), shape))
-    return value
-
-
 class Layer:
     """One protocol for every layer.  ``tensors`` lists the named tensors
     a layer owns, in checkpoint order: those with ``requires_grad`` are its
     parameters, and all of them are its checkpoint state.  A layer with
     other state (an RNG, a lazily bound buffer) overrides the state
-    methods."""
+    methods.  Loading reads entries through ``get(key, shape=None)``,
+    which rejects one of another shape, not broadcasting it."""
 
     tensors = ()
 
@@ -53,7 +50,21 @@ class Layer:
 
     def load_state_arrays(self, get):
         for name, t in self.tensors:
-            t.data[...] = checked_state(name, get(name), t.data.shape)
+            t.data[...] = get(name, t.data.shape)
+
+
+def parts_state(parts):
+    """The checkpoint entries of (prefix, part) pairs: every state array
+    of each part, named ``prefix.key``."""
+    return [("%s.%s" % (prefix, key), arr)
+            for prefix, part in parts for key, arr in part.state_arrays()]
+
+
+def load_parts(parts, get):
+    """Load each part of (prefix, part) pairs from the entries that
+    ``parts_state`` names, through a ``get(name, shape=None)`` lookup."""
+    for prefix, part in parts:
+        part.load_state_arrays(lambda key, shape=None: get("%s.%s" % (prefix, key), shape))
 
 
 class Conv2d(Layer):
@@ -106,7 +117,7 @@ class ConvTranspose2d(Layer):
         return ag.conv_transpose2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
-def instance_norm(x, gain, shift, eps=1e-5):
+def instance_norm(x, gain, shift):
     """Per-sample, per-channel standardization followed by an affine map."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.data.ndim != 4:
@@ -119,7 +130,7 @@ def instance_norm(x, gain, shift, eps=1e-5):
 
     mu = x.data.mean(axis=(2, 3), keepdims=True)
     var = x.data.var(axis=(2, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mu) * inv
     g4 = gain.data.reshape(1, C, 1, 1)
     out = Tensor(g4 * xhat + shift.data.reshape(1, C, 1, 1))
@@ -139,14 +150,13 @@ def instance_norm(x, gain, shift, eps=1e-5):
 
 
 class InstanceNorm(Layer):
-    def __init__(self, channels, eps=1e-5):
-        self.eps = eps
+    def __init__(self, channels):
         self.gain = Tensor(np.ones(channels), requires_grad=True)
         self.shift = Tensor(np.zeros(channels), requires_grad=True)
         self.tensors = [("gain", self.gain), ("shift", self.shift)]
 
     def forward(self, x, train=False):
-        return instance_norm(x, self.gain, self.shift, eps=self.eps)
+        return instance_norm(x, self.gain, self.shift)
 
 
 def relu_family(x, kind="relu", alpha=0.0):
@@ -213,11 +223,9 @@ class RReLU(Layer):
         return rrelu_forward(x, self.rng, train=train)
 
     def state_arrays(self):
-        from .serialize import rng_state_to_array
         return [("rng", rng_state_to_array(self.rng))]
 
     def load_state_arrays(self, get):
-        from .serialize import rng_state_from_array
         self.rng = rng_state_from_array(get("rng"))
 
 
@@ -263,14 +271,14 @@ class KWinners(Layer):
                 ("duty_cycle", self.duty_cycle)]
 
     def load_state_arrays(self, get):
-        meta = get("meta")
+        meta = get("meta", (2,))
         if meta[0] < 0:
             self.n = None
             self.duty_cycle = None
             return
         self.n = int(meta[0])
         self.k = int(meta[1])
-        self.duty_cycle = checked_state("duty_cycle", get("duty_cycle"), (self.n,)).copy()
+        self.duty_cycle = get("duty_cycle", (self.n,)).copy()
 
 
 def kwinners_forward(x, state, train=False):

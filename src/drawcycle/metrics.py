@@ -31,19 +31,19 @@ def mse(a, b):
     return float(np.mean(d * d))
 
 
-def psnr(mse_value, max_value=MAX_VALUE):
+def psnr(mse_value):
     """10 * log10(max^2 / mse) in dB; zero error reports +inf."""
     if mse_value < 0:
         raise ValueError("mse must be >= 0")
     if mse_value == 0:
         return math.inf
-    return 10.0 * math.log10(max_value * max_value / mse_value)
+    return 10.0 * math.log10(MAX_VALUE * MAX_VALUE / mse_value)
 
 
-def _gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
-    half = (size - 1) / 2.0
-    x = np.arange(size) - half
-    g = np.exp(-(x * x) / (2.0 * sigma * sigma))
+def _gaussian_window():
+    half = (SSIM_WINDOW - 1) / 2.0
+    x = np.arange(SSIM_WINDOW) - half
+    g = np.exp(-(x * x) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
     g /= g.sum()
     return np.outer(g, g)
 
@@ -54,7 +54,7 @@ def _windowed_mean(img, window):
     return np.tensordot(views, window, axes=([2, 3], [0, 1]))
 
 
-def ssim(a, b, max_value=MAX_VALUE):
+def ssim(a, b):
     """Structural similarity with an 11x11 Gaussian window (sigma 1.5),
     averaged over valid window positions only."""
     a = np.asarray(a, dtype=np.float64)
@@ -63,8 +63,8 @@ def ssim(a, b, max_value=MAX_VALUE):
         raise ValueError("ssim needs matching shapes, got %s vs %s" % (a.shape, b.shape))
     if a.ndim != 2 or min(a.shape) < SSIM_WINDOW:
         raise ValueError("ssim needs 2-D images at least %dx%d" % (SSIM_WINDOW, SSIM_WINDOW))
-    c1 = (SSIM_K1 * max_value) ** 2
-    c2 = (SSIM_K2 * max_value) ** 2
+    c1 = (SSIM_K1 * MAX_VALUE) ** 2
+    c2 = (SSIM_K2 * MAX_VALUE) ** 2
     w = _gaussian_window()
     mu_a = _windowed_mean(a, w)
     mu_b = _windowed_mean(b, w)
@@ -83,7 +83,6 @@ class MetricsReport:
     psnr_from_mean_mse: float
     mean_ssim: float
     n_images: int
-    bit_depth_max: float = MAX_VALUE
 
 
 def evaluate_dataset(translated, reference, ids=None):
@@ -110,13 +109,13 @@ def evaluate_dataset(translated, reference, ids=None):
     )
 
 
-def psnr_mse_consistent(psnr_db, mse_value, max_value=MAX_VALUE, tol=0.01):
+def psnr_mse_consistent(psnr_db, mse_value, tol=0.01):
     """Check a reported PSNR/MSE pair against the dB identity.
 
     Returns (computed_psnr_db, consistent) where consistent means the
     printed dB value is within ``tol`` of the value implied by the MSE.
     """
-    computed = psnr(mse_value, max_value)
+    computed = psnr(mse_value)
     return computed, abs(computed - psnr_db) <= tol
 
 

@@ -20,7 +20,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .layers import (
     Conv2d, ConvTranspose2d, InstanceNorm, KWinners, Layer, LeakyReLU, ReLU,
-    RReLU, ResidualBlock, SparseConv2d,
+    RReLU, ResidualBlock, SparseConv2d, load_parts, parts_state,
 )
 
 GENERATOR_VARIANTS = ("dense_relu", "sparse_kwinners")
@@ -87,12 +87,10 @@ class _Net:
         return x
 
     def state_arrays(self):
-        return [("%s.%s" % (name, key), arr)
-                for name, layer in self.named_layers() for key, arr in layer.state_arrays()]
+        return parts_state(self.named_layers())
 
     def load_state_arrays(self, get):
-        for name, layer in self.named_layers():
-            layer.load_state_arrays(lambda key, _name=name: get("%s.%s" % (_name, key)))
+        load_parts(self.named_layers(), get)
 
 
 class GeneratorNet(_Net):

@@ -7,7 +7,7 @@ is halved, which slows its effective learning rate relative to the
 generators.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import autograd as ag
@@ -16,7 +16,8 @@ from .autograd import Tensor
 
 @dataclass
 class LossBundle:
-    """Realized per-step loss values."""
+    """Realized per-step loss values; its fields, in order, are the loss
+    columns of ``losses.csv``."""
 
     gan_g_xy: float
     gan_g_yx: float
@@ -26,10 +27,8 @@ class LossBundle:
     idt: Optional[float]
     total_g: float
 
-    FIELDS = ("gan_g_xy", "gan_g_yx", "gan_d_x", "gan_d_y", "cyc", "idt", "total_g")
-
     def values(self):
-        return [getattr(self, f) for f in self.FIELDS]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 def gan_loss_generator(d_out_on_fake):

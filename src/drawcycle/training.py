@@ -6,7 +6,7 @@ Given (seed, config, dataset), every reported loss is deterministic.
 """
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import List
 
 import numpy as np
@@ -15,7 +15,7 @@ from . import autograd as ag
 from . import serialize
 from .autograd import Tape, Tensor
 from .data import image_to_net
-from .layers import checked_state
+from .layers import load_parts, parts_state
 from .models import DiscriminatorNet, GeneratorNet
 from .objectives import (
     LossBundle, cycle_consistency_loss, gan_loss_discriminator,
@@ -198,10 +198,10 @@ class Adam:
         return out
 
     def load_state_arrays(self, get):
-        self.t = int(get("t"))
+        self.t = int(get("t", ()))
         for i, (m, v) in enumerate(zip(self.m, self.v)):
-            m[...] = checked_state("m.%04d" % i, get("m.%04d" % i), m.shape)
-            v[...] = checked_state("v.%04d" % i, get("v.%04d" % i), v.shape)
+            m[...] = get("m.%04d" % i, m.shape)
+            v[...] = get("v.%04d" % i, v.shape)
 
 
 class ImagePool:
@@ -339,8 +339,7 @@ class Trainer:
             cyc=cyc.item(), idt=None if idt is None else idt.item(),
             total_g=total.item(),
         )
-        for term in LossBundle.FIELDS:
-            v = getattr(bundle, term)
+        for term, v in asdict(bundle).items():
             if v is not None and not np.isfinite(v):
                 raise TrainingDiverged(term, self.step_count, v)
         self.step_count += 1
@@ -371,7 +370,7 @@ class Trainer:
                     [dataset.domain_x[i] for i in ix],
                     [dataset.domain_y[i] for i in iy], lr))
             seconds = time.perf_counter() - t0
-            self.history.append(EpochStats(self.epoch, _mean_bundle(bundles, cfg), seconds))
+            self.history.append(EpochStats(self.epoch, _mean_bundle(bundles), seconds))
             self.epoch += 1
             if on_epoch is not None:
                 on_epoch(self)
@@ -390,8 +389,7 @@ class Trainer:
                    ("config", self.cfg.to_text().encode("utf-8")),
                    ("epoch", np.array(float(self.epoch))),
                    ("step_count", np.array(float(self.step_count)))]
-        for prefix, part in self._state_parts():
-            entries += [("%s.%s" % (prefix, key), arr) for key, arr in part.state_arrays()]
+        entries += parts_state(self._state_parts())
         entries += [("rng_x", rng_state_to_array(self.rng_x)),
                     ("rng_y", rng_state_to_array(self.rng_y))]
         write_entries(path, entries)
@@ -402,10 +400,9 @@ class Trainer:
         try:
             cfg = _checkpoint_config(get("config").decode("utf-8"))
             trainer = cls(cfg)
-            trainer.epoch = int(get("epoch"))
-            trainer.step_count = int(get("step_count"))
-            for prefix, part in trainer._state_parts():
-                part.load_state_arrays(lambda key, _prefix=prefix: get("%s.%s" % (_prefix, key)))
+            trainer.epoch = int(get("epoch", ()))
+            trainer.step_count = int(get("step_count", ()))
+            load_parts(trainer._state_parts(), get)
             trainer.rng_x = rng_state_from_array(get("rng_x"))
             trainer.rng_y = rng_state_from_array(get("rng_y"))
         except ValueError as exc:
@@ -414,15 +411,20 @@ class Trainer:
 
 
 def _entry_getter(path, entries):
-    """Check a checkpoint's version; return a lookup of its entries that
-    raises ``CheckpointError`` naming a missing one."""
+    """Check a checkpoint's version; return a lookup ``get(name, shape=None)``
+    of its entries that raises ``CheckpointError`` naming a missing entry,
+    or, given ``shape``, an entry of another shape."""
     if entries.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError("%s: unsupported checkpoint version" % (path,))
 
-    def get(name):
+    def get(name, shape=None):
         if name not in entries:
             raise CheckpointError("%s: missing checkpoint entry %r" % (path, name))
-        return entries[name]
+        value = entries[name]
+        if shape is not None and np.shape(value) != shape:
+            raise CheckpointError("%s: entry %r has shape %s, expected %s"
+                                  % (path, name, np.shape(value), shape))
+        return value
     return get
 
 
@@ -431,47 +433,37 @@ def load_generator(path, name):
     for inference; returns (generator, config, epochs trained).  Only the
     version, config, epoch and that generator's entries are read from the
     file; ``Trainer.checkpoint_load`` reads everything, to resume."""
-    prefix = name + "."
     # through the module attribute: bench/tracing.py wraps this module's
     # read_entries name with a hook that takes the path alone
     entries = serialize.read_entries(
-        path, keep=lambda key: key in ("version", "config", "epoch") or key.startswith(prefix))
+        path, keep=lambda key: key in ("version", "config", "epoch") or key.startswith(name + "."))
     get = _entry_getter(path, entries)
     try:
         cfg = _checkpoint_config(get("config").decode("utf-8"))
         net = build_generator(cfg, name)
-        net.load_state_arrays(lambda key: get(prefix + key))
-        epoch = int(get("epoch"))
+        load_parts([(name, net)], get)
+        epoch = int(get("epoch", ()))
     except ValueError as exc:
         raise CheckpointError("%s: %s" % (path, exc))
     return net, cfg, epoch
 
 
-def _mean_bundle(bundles, cfg):
+def _mean_bundle(bundles):
+    """Column-by-column mean of step losses; a column that is None at every
+    step (idt without the identity loss) stays None."""
     def m(vals):
         vals = [v for v in vals if v is not None]
         return float(np.mean(vals)) if vals else None
 
-    return LossBundle(
-        gan_g_xy=m([b.gan_g_xy for b in bundles]),
-        gan_g_yx=m([b.gan_g_yx for b in bundles]),
-        gan_d_x=m([b.gan_d_x for b in bundles]),
-        gan_d_y=m([b.gan_d_y for b in bundles]),
-        cyc=m([b.cyc for b in bundles]),
-        idt=m([b.idt for b in bundles]) if cfg.idt_enabled else None,
-        total_g=m([b.total_g for b in bundles]),
-    )
+    return LossBundle(*(m([getattr(b, f.name) for b in bundles]) for f in fields(LossBundle)))
 
 
-LOSS_CSV_HEADER = "epoch,gan_g_xy,gan_g_yx,gan_d_x,gan_d_y,cyc,idt,total_g"
+LOSS_CSV_HEADER = ",".join(["epoch"] + [f.name for f in fields(LossBundle)])
 
 
 def history_to_csv(history):
     lines = [LOSS_CSV_HEADER]
     for row in history:
-        vals = []
-        for f in LossBundle.FIELDS:
-            v = getattr(row.means, f)
-            vals.append("" if v is None else "%.17g" % v)
+        vals = ["" if v is None else "%.17g" % v for v in row.means.values()]
         lines.append("%d,%s" % (row.epoch, ",".join(vals)))
     return "\n".join(lines) + "\n"

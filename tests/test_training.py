@@ -419,16 +419,25 @@ class TestCheckpoint:
         write_entries(path, list(entries.items()))
         return path
 
-    def test_wrong_shape_optimizer_moment_rejected(self, tmp_path):
-        # a shape-(1,) moment would broadcast into the (2, 1, 7, 7) buffer
-        path = self._with_entry(tmp_path, "opt_g.m.0000", np.array([0.5]))
-        with pytest.raises(CheckpointError, match="'m.0000' has shape"):
+    @pytest.mark.parametrize("name", ["opt_g.m.0000", "opt_dy.v.0000"])
+    def test_wrong_shape_optimizer_moment_rejected(self, tmp_path, name):
+        # a shape-(1,) moment would broadcast into its buffer; the error
+        # names the whole entry, so which optimizer is damaged
+        path = self._with_entry(tmp_path, name, np.array([0.5]))
+        with pytest.raises(CheckpointError, match=repr(name) + " has shape"):
             Trainer.checkpoint_load(path)
 
     def test_wrong_length_duty_cycle_rejected(self, tmp_path):
         path = self._with_entry(tmp_path, "g_xy.enc.act0.duty_cycle", np.zeros(3),
                                 variant="sparse_kwinners")
-        with pytest.raises(CheckpointError, match="'duty_cycle' has shape"):
+        for load in (lambda: load_generator(path, "g_xy"), lambda: Trainer.checkpoint_load(path)):
+            with pytest.raises(CheckpointError, match="'g_xy.enc.act0.duty_cycle' has shape"):
+                load()
+
+    @pytest.mark.parametrize("name", ["opt_g.t", "epoch", "g_xy.enc.act0.meta"])
+    def test_wrong_shape_scalar_entry_rejected(self, tmp_path, name):
+        path = self._with_entry(tmp_path, name, np.zeros(3), variant="sparse_kwinners")
+        with pytest.raises(CheckpointError, match=repr(name) + " has shape"):
             Trainer.checkpoint_load(path)
 
     def test_fresh_entries_pinned(self, tmp_path):
@@ -532,7 +541,7 @@ class TestLoadGenerator:
         entries["g_xy.enc.conv0.weight"] = np.array([0.5])  # would broadcast
         write_entries(path, list(entries.items()))
         for load in (lambda: load_generator(path, "g_xy"), lambda: Trainer.checkpoint_load(path)):
-            with pytest.raises(CheckpointError, match="'weight' has shape"):
+            with pytest.raises(CheckpointError, match="'g_xy.enc.conv0.weight' has shape"):
                 load()
 
     def test_unsupported_version_rejected(self, tmp_path):
