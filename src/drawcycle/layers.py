@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, accumulate_grad, from_op
-from .serialize import rng_state_from_array, rng_state_to_array
+from .serialize import RNG_STATE_SHAPE, rng_state_from_array, rng_state_to_array
 
 # added to each channel's variance before instance norm's square root
 NORM_EPS = 1e-5
@@ -82,20 +82,18 @@ class Conv2d(Layer):
 
 
 class SparseConv2d(Conv2d):
-    """Convolution whose weight carries a fixed random zero mask.
+    """Convolution whose weight carries a fixed random zero mask, all ones
+    until ``models.init_weights`` draws its ``weight_sparsity`` share of zeros.
 
     The mask is applied inside the graph, so masked weights receive zero
     gradient and stay exactly zero under any number of optimizer steps.
     """
 
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0,
-                 weight_sparsity=0.5, mask_seed=0):
+    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, weight_sparsity=0.5):
         super().__init__(in_ch, out_ch, kernel, stride=stride, padding=padding)
-        self.mask = Tensor(sparse_mask_init(self.weight.shape, weight_sparsity, mask_seed))
+        self.weight_sparsity = weight_sparsity
+        self.mask = Tensor(np.ones(self.weight.shape))
         self.tensors.append(("mask", self.mask))
-
-    def apply_mask(self):
-        self.weight.data *= self.mask.data
 
     def forward(self, x, train=False):
         masked = ag.mul(self.weight, self.mask)
@@ -216,8 +214,7 @@ def rrelu_forward(x, rng, train=False):
 
 
 class RReLU(Layer):
-    def __init__(self, seed=0):
-        self.rng = np.random.default_rng(seed)
+    rng = None  # the train-mode slope stream: seeded by models.init_weights, or loaded
 
     def forward(self, x, train=False):
         return rrelu_forward(x, self.rng, train=train)
@@ -226,7 +223,7 @@ class RReLU(Layer):
         return [("rng", rng_state_to_array(self.rng))]
 
     def load_state_arrays(self, get):
-        self.rng = rng_state_from_array(get("rng"))
+        self.rng = rng_state_from_array(get("rng", RNG_STATE_SHAPE))
 
 
 class KWinners(Layer):

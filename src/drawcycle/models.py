@@ -13,6 +13,7 @@ The discriminator is a five-layer fully convolutional patch classifier
 """
 
 import itertools
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .layers import (
     Conv2d, ConvTranspose2d, InstanceNorm, KWinners, Layer, LeakyReLU, ReLU,
-    RReLU, ResidualBlock, SparseConv2d, load_parts, parts_state,
+    RReLU, ResidualBlock, SparseConv2d, load_parts, parts_state, sparse_mask_init,
 )
 
 GENERATOR_VARIANTS = ("dense_relu", "sparse_kwinners")
@@ -95,25 +96,17 @@ class _Net:
 
 class GeneratorNet(_Net):
     def __init__(self, width=64, n_res=12, variant="dense_relu", weight_sparsity=0.5,
-                 kwinners_cfg=None, seed=0):
+                 kwinners_cfg=None):
         super().__init__()
         if variant not in GENERATOR_VARIANTS:
             raise ValueError("unknown generator variant %r" % (variant,))
         if width < 1 or n_res < 0:
             raise ValueError("require width >= 1 and n_res >= 0")
-        sparse = variant == "sparse_kwinners"
-        kcfg = kwinners_cfg or {}
-        mask_seeds = itertools.count(seed * 1000 + 1)
-
-        def enc_conv(cin, cout, k, s, p):
-            if sparse:
-                return SparseConv2d(cin, cout, k, stride=s, padding=p,
-                                    weight_sparsity=weight_sparsity, mask_seed=next(mask_seeds))
-            return Conv2d(cin, cout, k, stride=s, padding=p)
-
-        def enc_act():
-            return KWinners(**kcfg) if sparse else ReLU()
-
+        if variant == "sparse_kwinners":
+            enc_conv = partial(SparseConv2d, weight_sparsity=weight_sparsity)
+            enc_act = partial(KWinners, **(kwinners_cfg or {}))
+        else:
+            enc_conv, enc_act = Conv2d, ReLU
         w = width
         self.add("enc.pad", _ReflectPad(3))
         self.add("enc.conv0", enc_conv(1, w, 7, 1, 0))
@@ -136,7 +129,6 @@ class GeneratorNet(_Net):
         self.add("dec.pad", _ReflectPad(3))
         self.add("dec.conv", Conv2d(w, 1, 7, stride=1, padding=0))
         self.add("dec.tanh", _Tanh())
-        init_weights(self, seed)
 
     def forward(self, x, train=False):
         if x.data.ndim != 4:
@@ -153,30 +145,27 @@ class DiscriminatorNet(_Net):
     """Five 4x4 convolutions (strides 2,2,2,1,1) emitting a patch-logit map;
     no squashing at the head."""
 
-    def __init__(self, width=64, activation="rrelu", seed=0):
+    def __init__(self, width=64, activation="rrelu"):
         super().__init__()
         if activation not in DISCRIMINATOR_ACTIVATIONS:
             raise ValueError("unknown discriminator activation %r" % (activation,))
         if width < 1:
             raise ValueError("require width >= 1")
         w = width
-
-        def act(i):
-            return RReLU(seed=seed * 100 + i) if activation == "rrelu" else LeakyReLU()
+        act = RReLU if activation == "rrelu" else LeakyReLU
 
         self.add("conv0", Conv2d(1, w, 4, stride=2, padding=1))
-        self.add("act0", act(0))
+        self.add("act0", act())
         self.add("conv1", Conv2d(w, 2 * w, 4, stride=2, padding=1))
         self.add("norm1", InstanceNorm(2 * w))
-        self.add("act1", act(1))
+        self.add("act1", act())
         self.add("conv2", Conv2d(2 * w, 4 * w, 4, stride=2, padding=1))
         self.add("norm2", InstanceNorm(4 * w))
-        self.add("act2", act(2))
+        self.add("act2", act())
         self.add("conv3", Conv2d(4 * w, 8 * w, 4, stride=1, padding=1))
         self.add("norm3", InstanceNorm(8 * w))
-        self.add("act3", act(3))
+        self.add("act3", act())
         self.add("conv4", Conv2d(8 * w, 1, 4, stride=1, padding=1))
-        init_weights(self, seed)
 
     def forward(self, x, train=False):
         if x.data.ndim != 4:
@@ -190,15 +179,24 @@ class DiscriminatorNet(_Net):
 
 
 def init_weights(net, seed):
-    """Gaussian(0, std 0.02) convolution weights via Box-Muller, sparse
-    masks re-applied after sampling; biases, norm gains and norm shifts
-    keep the values their layers are built with (0, 1 and 0)."""
+    """Make every random draw of a fresh network, in ``named_layers()`` order,
+    and return it: Gaussian(0, std 0.02) conv weights via Box-Muller from
+    ``seed``; the j-th sparse conv's mask from ``seed * 1000 + 1 + j``, then
+    its masked weights zeroed; the i-th RReLU's stream from ``seed * 100 + i``.
+    Biases and norm gains and shifts keep their built values (0, 1 and 0)."""
     rng = np.random.default_rng(seed)
+    mask_seeds = itertools.count(seed * 1000 + 1)
+    stream_seeds = itertools.count(seed * 100)
     for _, layer in net.named_layers():
         if isinstance(layer, (Conv2d, ConvTranspose2d)):
             layer.weight.data[...] = gaussian_samples(rng, layer.weight.shape, 0.02)
             if isinstance(layer, SparseConv2d):
-                layer.apply_mask()
+                layer.mask.data[...] = sparse_mask_init(layer.mask.shape, layer.weight_sparsity,
+                                                        next(mask_seeds))
+                layer.weight.data *= layer.mask.data
+        elif isinstance(layer, RReLU):
+            layer.rng = np.random.default_rng(next(stream_seeds))
+    return net
 
 
 def output_noise_deviation(net, images, sigma, seed=0):

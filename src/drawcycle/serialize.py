@@ -22,6 +22,10 @@ class CheckpointError(Exception):
     pass
 
 
+# the shape of a PCG64 state packed by ``rng_state_to_array``
+RNG_STATE_SHAPE = (6,)
+
+
 def rng_state_to_array(rng):
     """Pack a PCG64 generator's full state into a uint64 array."""
     st = rng.bit_generator.state

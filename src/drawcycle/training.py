@@ -16,14 +16,14 @@ from . import serialize
 from .autograd import Tape, Tensor
 from .data import image_to_net
 from .layers import load_parts, parts_state
-from .models import DiscriminatorNet, GeneratorNet
+from .models import DiscriminatorNet, GeneratorNet, init_weights
 from .objectives import (
     LossBundle, cycle_consistency_loss, gan_loss_discriminator,
     gan_loss_generator, identity_loss, total_objective,
 )
 from .serialize import (
-    CheckpointError, read_entries, rng_state_from_array, rng_state_to_array,
-    write_entries,
+    RNG_STATE_SHAPE, CheckpointError, read_entries, rng_state_from_array,
+    rng_state_to_array, write_entries,
 )
 
 
@@ -73,6 +73,12 @@ class TrainConfig:
             raise ValueError("batch_size and d_steps_per_g must be >= 1")
         if self.pool_size < 0:
             raise ValueError("pool_size must be >= 0")
+        if not 0.0 <= self.weight_sparsity < 1.0:
+            raise ValueError("weight_sparsity must be in [0, 1)")
+        if not 0.0 < self.k_frac <= 1.0:
+            raise ValueError("k_frac must be in (0, 1]")
+        if self.duty_period < 1:
+            raise ValueError("duty_period must be >= 1")
         return self
 
     def to_text(self):
@@ -234,7 +240,7 @@ class ImagePool:
 
     def load_state_arrays(self, get):
         self.images = [im.copy() for im in get("images")]
-        self.rng = rng_state_from_array(get("rng"))
+        self.rng = rng_state_from_array(get("rng", RNG_STATE_SHAPE))
 
 
 @dataclass
@@ -247,27 +253,24 @@ class EpochStats:
 CHECKPOINT_VERSION = b"drawcycle-checkpoint-1"
 
 
-def build_generator(cfg, name):
-    """The generator ``name`` ("g_xy" or "g_yx") of a config, freshly
-    initialised as a ``Trainer`` builds it."""
+def build_generator(cfg):
+    """A generator of a config's structure, holding no drawn values yet."""
     kcfg = {"k_frac": cfg.k_frac, "boost_strength": cfg.boost_strength,
             "duty_period": cfg.duty_period}
     return GeneratorNet(width=cfg.width, n_res=cfg.n_res, variant=cfg.variant,
-                        weight_sparsity=cfg.weight_sparsity, kwinners_cfg=kcfg,
-                        seed=cfg.seed * 4 + {"g_xy": 1, "g_yx": 2}[name])
+                        weight_sparsity=cfg.weight_sparsity, kwinners_cfg=kcfg)
 
 
 class Trainer:
-    """Owns the four networks, their optimizers, pools, and RNG streams."""
+    """Owns the four networks, their optimizers, pools, and RNG streams, all seeded here."""
 
     def __init__(self, cfg):
         cfg.validate()
         self.cfg = cfg
-        disc = dict(width=cfg.width, activation=cfg.d_activation)
-        self.g_xy = build_generator(cfg, "g_xy")
-        self.g_yx = build_generator(cfg, "g_yx")
-        self.d_x = DiscriminatorNet(seed=cfg.seed * 4 + 3, **disc)
-        self.d_y = DiscriminatorNet(seed=cfg.seed * 4 + 4, **disc)
+        self.g_xy = init_weights(build_generator(cfg), cfg.seed * 4 + 1)
+        self.g_yx = init_weights(build_generator(cfg), cfg.seed * 4 + 2)
+        self.d_x = init_weights(DiscriminatorNet(cfg.width, cfg.d_activation), cfg.seed * 4 + 3)
+        self.d_y = init_weights(DiscriminatorNet(cfg.width, cfg.d_activation), cfg.seed * 4 + 4)
         self.opt_g = Adam(self.g_xy.params() + self.g_yx.params(),
                           cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
         self.opt_dx = Adam(self.d_x.params(), cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
@@ -403,8 +406,8 @@ class Trainer:
             trainer.epoch = int(get("epoch", ()))
             trainer.step_count = int(get("step_count", ()))
             load_parts(trainer._state_parts(), get)
-            trainer.rng_x = rng_state_from_array(get("rng_x"))
-            trainer.rng_y = rng_state_from_array(get("rng_y"))
+            trainer.rng_x = rng_state_from_array(get("rng_x", RNG_STATE_SHAPE))
+            trainer.rng_y = rng_state_from_array(get("rng_y", RNG_STATE_SHAPE))
         except ValueError as exc:
             raise CheckpointError("%s: %s" % (path, exc))
         return trainer
@@ -440,7 +443,7 @@ def load_generator(path, name):
     get = _entry_getter(path, entries)
     try:
         cfg = _checkpoint_config(get("config").decode("utf-8"))
-        net = build_generator(cfg, name)
+        net = build_generator(cfg)
         load_parts([(name, net)], get)
         epoch = int(get("epoch", ()))
     except ValueError as exc:

@@ -11,6 +11,7 @@ from drawcycle.layers import (
     SparseConv2d, instance_norm, kwinners_forward, kwinners_update_duty_cycle,
     relu_family, rrelu_forward, sparse_mask_init,
 )
+from drawcycle.models import _Net, init_weights
 
 from gradcheck import REL_TOL, numeric_grad, rel_error
 
@@ -39,18 +40,30 @@ class TestSparseMask:
             sparse_mask_init((3, 3), 1.0, 0)
 
 
+def masked_conv(in_ch, out_ch, weight_sparsity, mask_seed):
+    """A 3x3 padding-1 sparse convolution whose mask is drawn from mask_seed."""
+    layer = SparseConv2d(in_ch, out_ch, 3, padding=1, weight_sparsity=weight_sparsity)
+    layer.mask.data[...] = sparse_mask_init(layer.weight.shape, weight_sparsity, mask_seed)
+    return layer
+
+
 class TestSparseConv:
+    def test_mask_all_ones_until_drawn(self):
+        layer = SparseConv2d(2, 3, 3, weight_sparsity=0.5)
+        assert layer.weight_sparsity == 0.5
+        assert np.all(layer.mask.data == 1.0) and np.all(layer.weight.data == 0.0)
+
     def test_all_ones_mask_matches_dense(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(1, 2, 6, 6)))
-        sparse = SparseConv2d(2, 3, 3, padding=1, weight_sparsity=0.0, mask_seed=0)
+        sparse = masked_conv(2, 3, 0.0, 0)
         sparse.weight.data[...] = rng.normal(size=sparse.weight.shape)
         dense = Conv2d(2, 3, 3, padding=1)
         dense.weight.data[...] = sparse.weight.data
         assert np.array_equal(sparse.forward(x).data, dense.forward(x).data)
 
     def test_all_zero_weights_constant_bias(self):
-        layer = SparseConv2d(1, 2, 3, padding=1, weight_sparsity=0.5, mask_seed=1)
+        layer = masked_conv(1, 2, 0.5, 1)
         layer.bias.data[...] = [0.7, -0.3]
         x = Tensor(np.random.default_rng(1).normal(size=(1, 1, 4, 4)))
         out = layer.forward(x)
@@ -60,9 +73,8 @@ class TestSparseConv:
 
     def test_matches_dense_with_prezeroed_weights(self):
         rng = np.random.default_rng(3)
-        layer = SparseConv2d(2, 3, 3, padding=1, weight_sparsity=0.6, mask_seed=7)
-        layer.weight.data[...] = rng.normal(size=layer.weight.shape)
-        layer.apply_mask()
+        layer = masked_conv(2, 3, 0.6, 7)
+        layer.weight.data[...] = rng.normal(size=layer.weight.shape) * layer.mask.data
         dense = Conv2d(2, 3, 3, padding=1)
         dense.weight.data[...] = layer.weight.data * layer.mask.data
         x = Tensor(rng.normal(size=(2, 2, 5, 5)))
@@ -70,9 +82,8 @@ class TestSparseConv:
 
     def test_masked_weights_get_zero_gradient(self):
         rng = np.random.default_rng(4)
-        layer = SparseConv2d(1, 2, 3, padding=1, weight_sparsity=0.5, mask_seed=9)
-        layer.weight.data[...] = rng.normal(size=layer.weight.shape)
-        layer.apply_mask()
+        layer = masked_conv(1, 2, 0.5, 9)
+        layer.weight.data[...] = rng.normal(size=layer.weight.shape) * layer.mask.data
         tape = Tape()
         with tape:
             loss = ag.mean(layer.forward(Tensor(rng.normal(size=(1, 1, 4, 4)))))
@@ -328,20 +339,16 @@ class TestResidualBlock:
         assert np.array_equal(out.data, x.data)
 
     def test_shape_preserved(self):
-        seeds = iter((1, 2))
-
-        def sparse_conv(cin, cout, k, s, p):
-            return SparseConv2d(cin, cout, k, stride=s, padding=p, mask_seed=next(seeds))
-
-        block = ResidualBlock(4, conv=sparse_conv, act=KWinners)
-        # the builder is called for conv1 first, then conv2
+        block = ResidualBlock(4, conv=SparseConv2d, act=KWinners)
+        net = _Net()
+        net.add("res0", block)
+        init_weights(net, 0)
+        # init_weights reaches conv1 first, then conv2
         assert np.array_equal(block.conv1.mask.data, sparse_mask_init((4, 4, 3, 3), 0.5, 1))
         assert np.array_equal(block.conv2.mask.data, sparse_mask_init((4, 4, 3, 3), 0.5, 2))
-        for _, layer in block.sublayers():
-            if hasattr(layer, "weight"):
-                layer.weight.data[...] = np.random.default_rng(1).normal(0, 0.05, layer.weight.shape)
-        block.conv1.apply_mask()
-        block.conv2.apply_mask()
+        for conv in (block.conv1, block.conv2):
+            assert np.all(conv.weight.data[conv.mask.data == 0] == 0.0)
+            assert np.all(conv.weight.data[conv.mask.data == 1] != 0.0)
         x = Tensor(np.random.default_rng(2).normal(size=(2, 4, 6, 6)))
         assert block.forward(x).data.shape == x.data.shape
 

@@ -3,7 +3,9 @@ import pytest
 
 from drawcycle import autograd as ag
 from drawcycle.autograd import Tape, Tensor
-from drawcycle.layers import Conv2d, ConvTranspose2d, KWinners, RReLU, SparseConv2d
+from drawcycle.layers import (
+    Conv2d, ConvTranspose2d, KWinners, RReLU, SparseConv2d, sparse_mask_init,
+)
 from drawcycle.models import (
     DiscriminatorNet, GeneratorNet, gaussian_samples,
     init_weights, output_noise_deviation,
@@ -12,10 +14,10 @@ from drawcycle.models import (
 from gradcheck import numeric_grad_sample
 
 
-def small_gen(**kw):
+def small_gen(seed=0, **kw):
     kw.setdefault("width", 4)
     kw.setdefault("n_res", 1)
-    return GeneratorNet(**kw)
+    return init_weights(GeneratorNet(**kw), seed)
 
 
 class TestGaussianSamples:
@@ -101,17 +103,17 @@ class TestGeneratorVariants:
 
 class TestDiscriminatorShape:
     def test_64_input_gives_6x6(self):
-        net = DiscriminatorNet(width=4, seed=0)
+        net = init_weights(DiscriminatorNet(width=4), 0)
         out = net.forward(Tensor(np.zeros((1, 1, 64, 64))))
         assert out.data.shape == (1, 1, 6, 6)
 
     def test_256_input_gives_30x30(self):
-        net = DiscriminatorNet(width=2, seed=0)
+        net = init_weights(DiscriminatorNet(width=2), 0)
         out = net.forward(Tensor(np.zeros((1, 1, 256, 256))))
         assert out.data.shape == (1, 1, 30, 30)
 
     def test_small_input_rejected(self):
-        net = DiscriminatorNet(width=4)
+        net = init_weights(DiscriminatorNet(width=4), 0)
         for size in (8, 16, 23):
             with pytest.raises(ValueError):
                 net.forward(Tensor(np.zeros((1, 1, size, size))))
@@ -135,7 +137,7 @@ class TestPatchLocality:
         # cell, away from border effects; the per-image normalizers are
         # stubbed out because their crop-dependent statistics mask the
         # geometric property under test
-        net = DiscriminatorNet(width=4, activation="leaky", seed=6)
+        net = init_weights(DiscriminatorNet(width=4, activation="leaky"), 6)
 
         class _Identity:
             def forward(self, x, train=False):
@@ -156,7 +158,7 @@ class TestPatchLocality:
 
 class TestInitWeights:
     def test_statistics(self):
-        net = GeneratorNet(width=16, n_res=2, seed=9)
+        net = small_gen(width=16, n_res=2, seed=9)
         ws = np.concatenate([
             l.weight.data.ravel() for _, l in net.named_layers()
             if isinstance(l, (Conv2d, ConvTranspose2d))])
@@ -182,6 +184,37 @@ class TestInitWeights:
         xc = np.concatenate([p.data.ravel() for p in c.params()])
         assert np.array_equal(xa, xb)
         assert not np.array_equal(xa, xc)
+
+    def test_constructors_draw_nothing(self, monkeypatch):
+        from drawcycle import layers, models
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a constructor drew a random number")
+
+        for module, name in ((models, "gaussian_samples"), (models, "sparse_mask_init"),
+                             (layers, "sparse_mask_init"), (np.random, "default_rng")):
+            monkeypatch.setattr(module, name, no_draw)
+        gen = GeneratorNet(width=4, n_res=1, variant="sparse_kwinners")
+        disc = DiscriminatorNet(width=4, activation="rrelu")
+        for _, layer in list(gen.named_layers()) + list(disc.named_layers()):
+            if isinstance(layer, (Conv2d, ConvTranspose2d)):
+                assert np.all(layer.weight.data == 0.0)
+            if isinstance(layer, SparseConv2d):
+                assert np.all(layer.mask.data == 1.0)
+            if isinstance(layer, RReLU):
+                assert layer.rng is None
+
+    def test_seeds_of_masks_and_slope_streams(self):
+        net = small_gen(variant="sparse_kwinners", weight_sparsity=0.4, seed=3)
+        sparse = [l for _, l in net.named_layers() if isinstance(l, SparseConv2d)]
+        assert len(sparse) == 5
+        for j, layer in enumerate(sparse):
+            assert np.array_equal(layer.mask.data,
+                                  sparse_mask_init(layer.weight.shape, 0.4, 3 * 1000 + 1 + j))
+        disc = init_weights(DiscriminatorNet(width=4, activation="rrelu"), 3)
+        acts = [l for _, l in disc.named_layers() if isinstance(l, RReLU)]
+        for i, layer in enumerate(acts):
+            assert layer.rng.random() == np.random.default_rng(3 * 100 + i).random()
 
     def test_reinit_respects_masks(self):
         net = small_gen(variant="sparse_kwinners", seed=13)
@@ -237,7 +270,7 @@ class TestWholeNetGradients:
         self._check(small_gen(seed=21))
 
     def test_discriminator_gradcheck(self):
-        net = DiscriminatorNet(width=4, activation="leaky", seed=22)
+        net = init_weights(DiscriminatorNet(width=4, activation="leaky"), 22)
         self._check(net, size=32)
 
 

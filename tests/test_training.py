@@ -54,6 +54,15 @@ class TestConfig:
             TrainConfig(epochs_const=10, epochs_total=5).validate()
         with pytest.raises(ValueError):
             TrainConfig(lambda_cyc=-1.0).validate()
+        # the sparse-generator keys, when parsed, not at the first step
+        for key, value in (("duty_period", 0), ("duty_period", -5),
+                           ("weight_sparsity", 1.0), ("weight_sparsity", -0.1),
+                           ("k_frac", 0.0), ("k_frac", 1.5), ("k_frac", -0.3)):
+            with pytest.raises(ValueError, match=key):
+                TrainConfig(**{key: value}).validate()
+            with pytest.raises(ValueError, match=key):
+                TrainConfig.from_text("%s = %s\n" % (key, value))
+        TrainConfig(duty_period=1, weight_sparsity=0.0, k_frac=1.0).validate()
 
     def test_presets(self):
         base = preset_config("baseline")
@@ -434,17 +443,19 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match="'g_xy.enc.act0.duty_cycle' has shape"):
                 load()
 
-    @pytest.mark.parametrize("name", ["opt_g.t", "epoch", "g_xy.enc.act0.meta"])
+    @pytest.mark.parametrize("name", ["opt_g.t", "epoch", "g_xy.enc.act0.meta",
+                                      "rng_x", "pool_x.rng", "d_x.act0.rng"])
     def test_wrong_shape_scalar_entry_rejected(self, tmp_path, name):
-        path = self._with_entry(tmp_path, name, np.zeros(3), variant="sparse_kwinners")
+        path = self._with_entry(tmp_path, name, np.zeros(3), variant="sparse_kwinners",
+                                d_activation="rrelu")
         with pytest.raises(CheckpointError, match=repr(name) + " has shape"):
             Trainer.checkpoint_load(path)
 
-    def test_fresh_entries_pinned(self, tmp_path):
+    def _fresh_entries_digest(self, tmp_path, preset):
         # names, order and bytes of every entry but the config text of a
         # freshly built seeded trainer: a renamed or reordered entry, or a
         # change to the order of initialization, changes the hash
-        cfg = preset_config("finetuned")
+        cfg = preset_config(preset)
         cfg.width, cfg.n_res, cfg.pool_size = 2, 1, 4
         path = str(tmp_path / "fresh.ckpt")
         Trainer(cfg.validate()).checkpoint_save(path)
@@ -453,7 +464,17 @@ class TestCheckpoint:
             if name != "config":
                 h.update(name.encode("utf-8"))
                 h.update(value if isinstance(value, bytes) else value.tobytes())
-        assert h.hexdigest() == "1a391544991126d994c68c4988661890d6da3d1cfbfac0863debd372c779b585"
+        return h.hexdigest()
+
+    def test_fresh_entries_pinned(self, tmp_path):
+        # sparse generator, randomized-rectifier discriminator
+        assert (self._fresh_entries_digest(tmp_path, "finetuned")
+                == "1a391544991126d994c68c4988661890d6da3d1cfbfac0863debd372c779b585")
+
+    def test_fresh_entries_pinned_dense(self, tmp_path):
+        # dense generator, leaky discriminator
+        assert (self._fresh_entries_digest(tmp_path, "no_idt")
+                == "5a5a155880f6cc823207ac2c85ff12f67e36535c056187326576c091668e3b13")
 
     def test_sparse_variant_round_trip(self, tmp_path):
         tr, ds = self._short_trainer(seed=8, variant="sparse_kwinners",
@@ -543,6 +564,26 @@ class TestLoadGenerator:
         for load in (lambda: load_generator(path, "g_xy"), lambda: Trainer.checkpoint_load(path)):
             with pytest.raises(CheckpointError, match="'g_xy.enc.conv0.weight' has shape"):
                 load()
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        # every weight, mask and K-Winners state comes from the checkpoint,
+        # so a load must succeed with every random draw made to fail
+        path, ds = self._checkpoint(tmp_path, "sparse_kwinners")
+        from drawcycle import layers, models
+        from drawcycle.data import image_to_net
+        trainer = Trainer.checkpoint_load(path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a load drew a random number")
+
+        for module, name in ((models, "gaussian_samples"), (models, "sparse_mask_init"),
+                             (layers, "sparse_mask_init"), (np.random, "default_rng")):
+            monkeypatch.setattr(module, name, no_draw)
+        for name in self.NAMES:
+            net = load_generator(path, name)[0]
+            for img in (ds.test_x[0], ds.test_y[0]):
+                x = Tensor(image_to_net(img))
+                assert net.forward(x).data.tobytes() == getattr(trainer, name).forward(x).data.tobytes()
 
     def test_unsupported_version_rejected(self, tmp_path):
         path, _ = self._checkpoint(tmp_path, "dense_relu")
