@@ -72,15 +72,19 @@ def _as_tensor(x):
 
 
 def accumulate_grad(tensor, g):
-    """Add ``g`` into ``tensor.grad``, reducing broadcast axes if needed."""
+    """Add ``g`` into ``tensor.grad`` (a copy of ``g`` when there is none
+    yet), reducing broadcast axes if needed."""
     if not tensor.requires_grad:
         return
     g = np.asarray(g, dtype=np.float64)
     if g.shape != tensor.data.shape:
         g = np.sum(g).reshape(tensor.data.shape) if tensor.data.size == 1 else g.reshape(tensor.data.shape)
     if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.data)
-    tensor.grad += g
+        # a copy: one g may be handed to several inputs (add), and a later
+        # contribution is added into this buffer in place
+        tensor.grad = g.copy()
+    else:
+        tensor.grad += g
 
 
 def from_op(out, inputs, backward_fn):
@@ -357,7 +361,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=0):
         if narrow:
             _accumulate_weight_bias(weight, bias, lambda: _window_weight_grad(g, xflat, K, Wp), g)
         else:
-            _accumulate_weight_bias(weight, bias, lambda: _cols_weight_grad(gm, cols), g)
+            # the columns are rebuilt, not kept on the tape: the node holds
+            # only x, which is alive anyway as the previous layer's output
+            _accumulate_weight_bias(weight, bias, lambda: _cols_weight_grad(
+                gm, _im2col(x.data, K, stride, padding, Ho, Wo)), g)
         if x.requires_grad:
             if stride == 1 and padding < K and O <= C:
                 # a stride-1 input gradient is the correlation of g, padded by
@@ -459,6 +466,7 @@ def backward(root, tape):
 
 
 def zero_grad(params):
-    """Zero every gradient buffer; parameter data is untouched."""
+    """Drop every gradient buffer (``grad = None``); parameter data is
+    untouched.  The next backward allocates each one afresh."""
     for p in params:
-        p.grad = np.zeros_like(p.data)
+        p.grad = None

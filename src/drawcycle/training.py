@@ -196,6 +196,9 @@ class Adam:
         self.t += 1
         adam_step(self.params, grads, self.m, self.v, self.t, lr,
                   beta1=self.beta1, beta2=self.beta2, eps=self.eps)
+        # a gradient lives from backward to the step that applies it
+        for p in self.params:
+            p.grad = None
 
     def state_arrays(self):
         out = [("t", np.array(float(self.t)))]
@@ -224,6 +227,9 @@ class ImagePool:
     def query(self, fresh):
         if self.capacity == 0:
             return fresh
+        if self.images and fresh.shape != self.images[0].shape:
+            raise ValueError("image pool holds images of shape %s, got a fresh one of shape %s"
+                             % (self.images[0].shape, fresh.shape))
         if len(self.images) < self.capacity:
             self.images.append(fresh.copy())
             return fresh
@@ -239,7 +245,14 @@ class ImagePool:
         return [("images", images), ("rng", rng_state_to_array(self.rng))]
 
     def load_state_arrays(self, get):
-        self.images = [im.copy() for im in get("images")]
+        images = get("images")
+        # n stored batches of one-channel images (n, B, 1, H, W), or the
+        # empty placeholder that state_arrays writes
+        if images.shape != (0, 1, 1, 1) and not (
+                images.ndim == 5 and images.shape[2] == 1 and len(images) <= self.capacity):
+            raise ValueError("pool images have shape %s, expected (n, B, 1, H, W) with n <= %d"
+                             % (images.shape, self.capacity))
+        self.images = [im.copy() for im in images]
         self.rng = rng_state_from_array(get("rng", RNG_STATE_SHAPE))
 
 

@@ -234,6 +234,33 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
+    @pytest.mark.parametrize("cin,cout,stride", [(32, 32, 1), (16, 32, 2)])
+    def test_node_keeps_no_columns(self, cin, cout, stride):
+        # a wide stride-1 conv (its columns are 2.4 MB) and a strided one:
+        # the recorded node holds x, not the columns, and backward rebuilds
+        # the same columns for the weight gradient
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.normal(size=(1, cin, 32, 32)))
+        w = Tensor(rng.normal(size=(cout, cin, 3, 3)), requires_grad=True)
+        Ho = Wo = (32 + 2 - 3) // stride + 1
+        cols = ag._im2col(x.data, 3, stride, 1, Ho, Wo)
+        g = rng.normal(size=(1, cout, Ho, Wo))
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with tape:
+                out = ag.conv2d(x, w, stride=stride, padding=1)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < cols.nbytes
+        with tape:
+            loss = ag.reduce(ag.mul(out, Tensor(g)), "sum")
+        ag.backward(loss, tape)
+        want = ag._cols_weight_grad(g.reshape(1, cout, Ho * Wo), cols).reshape(w.shape)
+        assert np.array_equal(w.grad, want)
+
 
 class TestConvTranspose2d:
     def test_identity_kernel(self):
@@ -385,6 +412,19 @@ class TestBackward:
         ag.backward(loss, tape)
         assert np.array_equal(x.grad, [2.0, 2.0])
 
+    def test_first_contribution_copied(self):
+        # add hands one g to both inputs: stored uncopied, b's buffer would
+        # be a's, and the second backward would add into it twice
+        tape = Tape()
+        with tape:
+            a = Tensor([1.0, 1.0], requires_grad=True)
+            b = Tensor([1.0, 1.0], requires_grad=True)
+            loss = ag.reduce(ag.add(a, b), "sum")
+        ag.backward(loss, tape)
+        ag.backward(loss, tape)
+        assert np.array_equal(a.grad, [2.0, 2.0])
+        assert np.array_equal(b.grad, [2.0, 2.0])
+
     def test_determinism(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 2, 8, 8))
@@ -406,14 +446,15 @@ class TestZeroGrad:
         x = Tensor([1.0, 2.0], requires_grad=True)
         x.grad = np.array([3.0, 4.0])
         ag.zero_grad([x])
-        assert np.array_equal(x.grad, [0.0, 0.0])
+        assert x.grad is None
         assert np.array_equal(x.data, [1.0, 2.0])
 
     def test_repeated_zero(self):
         x = Tensor([1.0], requires_grad=True)
         ag.zero_grad([x])
         ag.zero_grad([x])
-        assert np.array_equal(x.grad, [0.0])
+        assert x.grad is None
+        assert np.array_equal(x.data, [1.0])
 
     def test_empty_list_noop(self):
         ag.zero_grad([])

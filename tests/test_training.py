@@ -137,6 +137,12 @@ class TestAdam:
         opt.step(0.1)  # p.grad is None -> treated as zeros
         assert np.array_equal(p.data, [1.0, 2.0])
 
+    def test_step_drops_gradients(self):
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        p.grad = np.array([0.5, -0.5])
+        Adam([p]).step(0.1)
+        assert p.grad is None
+
     def test_shape_mismatch_rejected(self):
         p = Tensor(np.zeros(3))
         with pytest.raises(ValueError):
@@ -195,6 +201,12 @@ class TestImagePool:
                 break
         assert seen_old
 
+    def test_shape_change_rejected(self):
+        pool = ImagePool(2, seed=0)
+        pool.query(np.zeros((1, 1, 2, 2)))
+        with pytest.raises(ValueError, match=r"\(1, 1, 2, 2\).*\(1, 1, 3, 3\)"):
+            pool.query(np.zeros((1, 1, 3, 3)))
+
 
 class TestTrainStep:
     def test_zero_lr_freezes_parameters(self):
@@ -245,6 +257,24 @@ class TestTrainStep:
             for _, layer in net.named_layers():
                 if isinstance(layer, SparseConv2d):
                     assert np.all(layer.weight.data[layer.mask.data == 0] == 0.0)
+
+    @pytest.mark.parametrize("preset", ["finetuned", "baseline"])
+    def test_no_gradients_held_after_step(self, preset):
+        cfg = preset_config(preset)
+        cfg.width, cfg.n_res, cfg.pool_size, cfg.seed = 2, 1, 4, 1
+        trainer = Trainer(cfg.validate())
+        ds = tiny_dataset()
+        trainer.train_step([ds.domain_x[0]], [ds.domain_y[0]], lr=1e-4)
+        assert all(p.grad is None for p in trainer._all_params())
+
+    def test_resolution_change_rejected(self):
+        # a run continued at another resolution would feed its
+        # discriminators pooled fakes of the old size
+        trainer = Trainer(tiny_config(seed=1, pool_size=1))
+        small, large = tiny_dataset(size=32), tiny_dataset(size=64)
+        trainer.train_step([small.domain_x[0]], [small.domain_y[0]], lr=1e-4)
+        with pytest.raises(ValueError, match=r"\(1, 1, 32, 32\).*\(1, 1, 64, 64\)"):
+            trainer.train_step([large.domain_x[0]], [large.domain_y[0]], lr=1e-4)
 
     def test_pools_store_one_image_per_generator_step(self):
         trainer = Trainer(tiny_config(seed=1, d_steps_per_g=2, pool_size=50))
@@ -450,6 +480,20 @@ class TestCheckpoint:
                                 d_activation="rrelu")
         with pytest.raises(CheckpointError, match=repr(name) + " has shape"):
             Trainer.checkpoint_load(path)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 3, 3), (5, 1, 1, 32, 32)])
+    def test_bad_pool_images_rejected(self, tmp_path, shape):
+        # a flat image stack, and one stored batch more than pool_size = 4
+        path = self._with_entry(tmp_path, "pool_x.images", np.zeros(shape))
+        with pytest.raises(CheckpointError, match="pool images have shape"):
+            Trainer.checkpoint_load(path)
+
+    def test_pool_images_of_other_size_fail_first_step(self, tmp_path):
+        path = self._with_entry(tmp_path, "pool_x.images", np.zeros((2, 1, 1, 3, 3)))
+        back = Trainer.checkpoint_load(path)
+        ds = tiny_dataset(n=2, seed=7)
+        with pytest.raises(ValueError, match=r"\(1, 1, 3, 3\).*\(1, 1, 32, 32\)"):
+            back.train_step([ds.domain_x[1]], [ds.domain_y[1]], 1e-4)
 
     def _fresh_entries_digest(self, tmp_path, preset):
         # names, order and bytes of every entry but the config text of a
