@@ -102,9 +102,7 @@ def _write_run_record(args, trainer, checkpoints, started, status):
 
 def cmd_translate(args):
     net, _, _ = load_generator(args.ckpt, "g_xy" if args.direction == "x2y" else "g_yx")
-    names = list_pgm(args.indir)
-    if not names:
-        raise ValueError("no .pgm files in %s" % (args.indir,))
+    names = _pgm_names(args.indir)
     os.makedirs(args.out, exist_ok=True)
     for name in names:
         img = load_pgm(os.path.join(args.indir, name))
@@ -112,6 +110,14 @@ def cmd_translate(args):
         save_pgm(net_to_image(out.data), os.path.join(args.out, name))
     print("translated %d images (%s) into %s" % (len(names), args.direction, args.out))
     return 0
+
+
+def _pgm_names(path):
+    """The .pgm names in a directory that must hold at least one."""
+    names = list_pgm(path)
+    if not names:
+        raise ValueError("no .pgm files in %s" % (path,))
+    return names
 
 
 def _load_pgm_dir(path, names):
@@ -202,7 +208,7 @@ def cmd_curves(args):
 
 
 def cmd_noise_report(args):
-    images = _load_pgm_dir(args.data, list_pgm(args.data))
+    images = _load_pgm_dir(args.data, _pgm_names(args.data))
     results = []
     for label, path in (("a", args.ckpt_a), ("b", args.ckpt_b)):
         net, cfg, epochs = load_generator(path, "g_xy")

@@ -157,14 +157,10 @@ class InstanceNorm(Layer):
         return instance_norm(x, self.gain, self.shift)
 
 
-def relu_family(x, kind="relu", alpha=0.0):
-    """ReLU or LeakyReLU(alpha); the slope at exactly 0 comes from the
-    negative branch."""
+def relu_family(x, alpha):
+    """LeakyReLU(alpha), ReLU at alpha = 0; the slope at exactly 0 comes
+    from the negative branch."""
     x = x if isinstance(x, Tensor) else Tensor(x)
-    if kind == "relu":
-        alpha = 0.0
-    elif kind != "leaky":
-        raise ValueError("unknown rectifier kind %r" % (kind,))
     slope = np.where(x.data > 0, 1.0, alpha)
     out = Tensor(x.data * slope)
 
@@ -176,14 +172,14 @@ def relu_family(x, kind="relu", alpha=0.0):
 
 class ReLU(Layer):
     def forward(self, x, train=False):
-        return relu_family(x, "relu")
+        return relu_family(x, 0.0)
 
 
 class LeakyReLU(Layer):
     """LeakyReLU with negative slope 0.2."""
 
     def forward(self, x, train=False):
-        return relu_family(x, "leaky", alpha=0.2)
+        return relu_family(x, 0.2)
 
 
 # slope bounds of the randomized rectifier: the common competition setting
@@ -340,26 +336,54 @@ def kwinners_update_duty_cycle(state, winner_indicators):
     state.duty_cycle += a * np.asarray(winner_indicators, dtype=np.float64)
 
 
-class ResidualBlock:
-    """Two 3x3 convolutions with norms and an activation, plus an identity
-    shortcut: out = x + F(x).  ``conv(cin, cout, kernel, stride, padding)``
-    and ``act()`` build the layers, conv1 before conv2."""
+class Sequential(Layer):
+    """The one composite layer: named layers run in the order added.  Its
+    state follows the ``Layer`` protocol, each entry named ``layer.key``;
+    ``named_layers`` yields the leaf layers under dotted names, descending
+    into nested composites."""
 
-    def __init__(self, channels, conv=Conv2d, act=ReLU):
-        self.conv1 = conv(channels, channels, 3, 1, 1)
-        self.conv2 = conv(channels, channels, 3, 1, 1)
-        self.act = act()
-        self.norm1 = InstanceNorm(channels)
-        self.norm2 = InstanceNorm(channels)
+    def __init__(self):
+        self.layers = []  # list of (name, layer)
 
-    def sublayers(self):
-        return [("conv1", self.conv1), ("norm1", self.norm1), ("act", self.act),
-                ("conv2", self.conv2), ("norm2", self.norm2)]
+    def add(self, name, layer):
+        self.layers.append((name, layer))
+        return layer
+
+    def named_layers(self):
+        for name, layer in self.layers:
+            if isinstance(layer, Sequential):
+                for sub, leaf in layer.named_layers():
+                    yield name + "." + sub, leaf
+            else:
+                yield name, layer
+
+    def params(self):
+        return [p for _, layer in self.layers for p in layer.params()]
 
     def forward(self, x, train=False):
-        h = self.conv1.forward(x, train)
-        h = self.norm1.forward(h, train)
-        h = self.act.forward(h, train)
-        h = self.conv2.forward(h, train)
-        h = self.norm2.forward(h, train)
-        return ag.add(x, h)
+        for _, layer in self.layers:
+            x = layer.forward(x, train)
+        return x
+
+    def state_arrays(self):
+        return parts_state(self.layers)
+
+    def load_state_arrays(self, get):
+        load_parts(self.layers, get)
+
+
+class ResidualBlock(Sequential):
+    """Two 3x3 convolutions with norms and an activation, plus an identity
+    shortcut: out = x + F(x).  ``conv(cin, cout, kernel, stride, padding)``
+    and ``act()`` build the layers."""
+
+    def __init__(self, channels, conv=Conv2d, act=ReLU):
+        super().__init__()
+        self.conv1 = self.add("conv1", conv(channels, channels, 3, 1, 1))
+        self.norm1 = self.add("norm1", InstanceNorm(channels))
+        self.act = self.add("act", act())
+        self.conv2 = self.add("conv2", conv(channels, channels, 3, 1, 1))
+        self.norm2 = self.add("norm2", InstanceNorm(channels))
+
+    def forward(self, x, train=False):
+        return ag.add(x, super().forward(x, train))

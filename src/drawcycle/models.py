@@ -21,7 +21,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .layers import (
     Conv2d, ConvTranspose2d, InstanceNorm, KWinners, Layer, LeakyReLU, ReLU,
-    RReLU, ResidualBlock, SparseConv2d, load_parts, parts_state, sparse_mask_init,
+    RReLU, ResidualBlock, Sequential, SparseConv2d, sparse_mask_init,
 )
 
 GENERATOR_VARIANTS = ("dense_relu", "sparse_kwinners")
@@ -52,49 +52,7 @@ class _ReflectPad(Layer):
         return ag.reflect_pad(x, self.pad)
 
 
-def _leaves(layers, prefix=""):
-    """(dotted name, layer) pairs, descending into any layer with
-    ``sublayers()``."""
-    for name, layer in layers:
-        if hasattr(layer, "sublayers"):
-            yield from _leaves(layer.sublayers(), prefix + name + ".")
-        else:
-            yield prefix + name, layer
-
-
-class _Net:
-    """Shared parameter / state walking over an ordered layer list; its
-    state methods follow the ``layers.Layer`` protocol."""
-
-    def __init__(self):
-        self.layers = []  # list of (name, layer)
-
-    def add(self, name, layer):
-        self.layers.append((name, layer))
-        return layer
-
-    def named_layers(self):
-        return _leaves(self.layers)
-
-    def params(self):
-        out = []
-        for _, layer in self.named_layers():
-            out.extend(layer.params())
-        return out
-
-    def forward(self, x, train=False):
-        for _, layer in self.layers:
-            x = layer.forward(x, train)
-        return x
-
-    def state_arrays(self):
-        return parts_state(self.named_layers())
-
-    def load_state_arrays(self, get):
-        load_parts(self.named_layers(), get)
-
-
-class GeneratorNet(_Net):
+class GeneratorNet(Sequential):
     def __init__(self, width=64, n_res=12, variant="dense_relu", weight_sparsity=0.5,
                  kwinners_cfg=None):
         super().__init__()
@@ -141,7 +99,7 @@ class GeneratorNet(_Net):
         return super().forward(x, train)
 
 
-class DiscriminatorNet(_Net):
+class DiscriminatorNet(Sequential):
     """Five 4x4 convolutions (strides 2,2,2,1,1) emitting a patch-logit map;
     no squashing at the head."""
 

@@ -67,18 +67,18 @@ class TrainConfig:
         for name in ("lr0", "adam_beta1", "adam_beta2", "adam_eps"):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
-        if self.lambda_cyc < 0:
-            raise ValueError("lambda_cyc must be >= 0")
         if self.batch_size < 1 or self.d_steps_per_g < 1:
             raise ValueError("batch_size and d_steps_per_g must be >= 1")
-        if self.pool_size < 0:
-            raise ValueError("pool_size must be >= 0")
         if not 0.0 <= self.weight_sparsity < 1.0:
             raise ValueError("weight_sparsity must be in [0, 1)")
         if not 0.0 < self.k_frac <= 1.0:
             raise ValueError("k_frac must be in (0, 1]")
         if self.duty_period < 1:
             raise ValueError("duty_period must be >= 1")
+        for name in ("lambda_cyc", "idt_weight", "boost_strength", "pool_size",
+                     "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be >= 0" % name)
         return self
 
     def to_text(self):
@@ -275,15 +275,24 @@ def build_generator(cfg):
 
 
 class Trainer:
-    """Owns the four networks, their optimizers, pools, and RNG streams, all seeded here."""
+    """Owns the four networks, their optimizers, pools, and RNG streams.
+    ``Trainer(cfg)`` seeds all of them; ``checkpoint_load`` builds the same
+    parts and loads every value from the file."""
 
     def __init__(self, cfg):
+        self._build(cfg)
+        for i, net in enumerate((self.g_xy, self.g_yx, self.d_x, self.d_y), 1):
+            init_weights(net, cfg.seed * 4 + i)
+
+    def _build(self, cfg):
+        """Create every part with no network draw, and return self; the
+        networks' values come from ``__init__`` or a checkpoint."""
         cfg.validate()
         self.cfg = cfg
-        self.g_xy = init_weights(build_generator(cfg), cfg.seed * 4 + 1)
-        self.g_yx = init_weights(build_generator(cfg), cfg.seed * 4 + 2)
-        self.d_x = init_weights(DiscriminatorNet(cfg.width, cfg.d_activation), cfg.seed * 4 + 3)
-        self.d_y = init_weights(DiscriminatorNet(cfg.width, cfg.d_activation), cfg.seed * 4 + 4)
+        self.g_xy = build_generator(cfg)
+        self.g_yx = build_generator(cfg)
+        self.d_x = DiscriminatorNet(cfg.width, cfg.d_activation)
+        self.d_y = DiscriminatorNet(cfg.width, cfg.d_activation)
         self.opt_g = Adam(self.g_xy.params() + self.g_yx.params(),
                           cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
         self.opt_dx = Adam(self.d_x.params(), cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
@@ -295,6 +304,7 @@ class Trainer:
         self.epoch = 0
         self.step_count = 0
         self.history: List[EpochStats] = []
+        return self
 
     # -- single optimization step ------------------------------------------
 
@@ -415,7 +425,7 @@ class Trainer:
         get = _entry_getter(path, read_entries(path))
         try:
             cfg = _checkpoint_config(get("config").decode("utf-8"))
-            trainer = cls(cfg)
+            trainer = cls.__new__(cls)._build(cfg)
             trainer.epoch = int(get("epoch", ()))
             trainer.step_count = int(get("step_count", ()))
             load_parts(trainer._state_parts(), get)

@@ -392,6 +392,14 @@ class TestNoiseReport:
         # each checkpoint's training budget is printed
         assert all("epochs 1)" in ln for ln in lines)
 
+    def test_empty_data_dir_fails(self, trained, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        ckpt = str(trained / "final.ckpt")
+        rc = main(["noise-report", "--ckpt-a", ckpt, "--ckpt-b", ckpt, "--data", str(empty)])
+        assert rc == 1
+        assert "error: no .pgm files in %s" % (empty,) in capsys.readouterr().err
+
     def test_line_matches_full_trainer_load(self, trained, corpus, capsys):
         # the report's figures from the whole trainer's g_xy, as before
         # noise-report loaded only the generator

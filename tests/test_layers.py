@@ -11,7 +11,7 @@ from drawcycle.layers import (
     SparseConv2d, instance_norm, kwinners_forward, kwinners_update_duty_cycle,
     relu_family, rrelu_forward, sparse_mask_init,
 )
-from drawcycle.models import _Net, init_weights
+from drawcycle.models import init_weights
 
 from gradcheck import REL_TOL, numeric_grad, rel_error
 
@@ -142,21 +142,21 @@ class TestInstanceNorm:
 
 class TestReluFamily:
     def test_relu_values(self):
-        out = relu_family(Tensor([-1.0, 2.0]), "relu")
+        out = relu_family(Tensor([-1.0, 2.0]), 0.0)
         assert np.array_equal(out.data, [0.0, 2.0])
 
     def test_leaky_value(self):
-        assert relu_family(Tensor([-5.0]), "leaky", alpha=0.2).data[0] == -1.0
+        assert relu_family(Tensor([-5.0]), 0.2).data[0] == -1.0
 
     def test_leaky_alpha_one_is_identity(self):
         x = np.random.default_rng(0).normal(size=8)
-        assert np.array_equal(relu_family(Tensor(x), "leaky", alpha=1.0).data, x)
+        assert np.array_equal(relu_family(Tensor(x), 1.0).data, x)
 
     def test_slope_at_zero_from_negative_branch(self):
         tape = Tape()
         with tape:
             x = Tensor([0.0], requires_grad=True)
-            loss = ag.reduce(relu_family(x, "leaky", alpha=0.3), "sum")
+            loss = ag.reduce(relu_family(x, 0.3), "sum")
         ag.backward(loss, tape)
         assert x.grad[0] == 0.3
 
@@ -340,9 +340,7 @@ class TestResidualBlock:
 
     def test_shape_preserved(self):
         block = ResidualBlock(4, conv=SparseConv2d, act=KWinners)
-        net = _Net()
-        net.add("res0", block)
-        init_weights(net, 0)
+        init_weights(block, 0)
         # init_weights reaches conv1 first, then conv2
         assert np.array_equal(block.conv1.mask.data, sparse_mask_init((4, 4, 3, 3), 0.5, 1))
         assert np.array_equal(block.conv2.mask.data, sparse_mask_init((4, 4, 3, 3), 0.5, 2))

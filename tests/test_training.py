@@ -54,6 +54,14 @@ class TestConfig:
             TrainConfig(epochs_const=10, epochs_total=5).validate()
         with pytest.raises(ValueError):
             TrainConfig(lambda_cyc=-1.0).validate()
+        # a negative period would save every |n|-th epoch, a negative
+        # weight reward identity error, a negative strength invert boosting
+        for key, value in (("checkpoint_every", -2), ("idt_weight", -1.0),
+                           ("boost_strength", -1.0)):
+            with pytest.raises(ValueError, match=key):
+                TrainConfig(**{key: value}).validate()
+            with pytest.raises(ValueError, match=key):
+                TrainConfig.from_text("%s = %s\n" % (key, value))
         # the sparse-generator keys, when parsed, not at the first step
         for key, value in (("duty_period", 0), ("duty_period", -5),
                            ("weight_sparsity", 1.0), ("weight_sparsity", -0.1),
@@ -613,7 +621,7 @@ class TestLoadGenerator:
         # every weight, mask and K-Winners state comes from the checkpoint,
         # so a load must succeed with every random draw made to fail
         path, ds = self._checkpoint(tmp_path, "sparse_kwinners")
-        from drawcycle import layers, models
+        from drawcycle import layers, models, training
         from drawcycle.data import image_to_net
         trainer = Trainer.checkpoint_load(path)
 
@@ -621,13 +629,19 @@ class TestLoadGenerator:
             raise AssertionError("a load drew a random number")
 
         for module, name in ((models, "gaussian_samples"), (models, "sparse_mask_init"),
-                             (layers, "sparse_mask_init"), (np.random, "default_rng")):
+                             (layers, "sparse_mask_init"), (training, "init_weights")):
             monkeypatch.setattr(module, name, no_draw)
+        # a resume rebuilds its pools' and streams' generators from the file
+        # through default_rng, so only the generator-only load goes without it
+        resumed = Trainer.checkpoint_load(path)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
         for name in self.NAMES:
             net = load_generator(path, name)[0]
             for img in (ds.test_x[0], ds.test_y[0]):
                 x = Tensor(image_to_net(img))
                 assert net.forward(x).data.tobytes() == getattr(trainer, name).forward(x).data.tobytes()
+        step = ([ds.domain_x[1]], [ds.domain_y[1]], 1e-3)
+        assert resumed.train_step(*step) == trainer.train_step(*step)
 
     def test_unsupported_version_rejected(self, tmp_path):
         path, _ = self._checkpoint(tmp_path, "dense_relu")

@@ -1,5 +1,5 @@
-"""The seeded contract: the losses.csv hash of a short seeded run of each
-preset, as README's Tests section describes it.
+"""The seeded contract: the losses.csv and final.ckpt hashes of a short
+seeded run of each preset, as README's Tests section describes it.
 
 Usage:
   python3 tools/seeded_contract.py [--out DIR]
@@ -8,9 +8,11 @@ Synthesises the corpus (8 training and 4 test drawings per domain, seed
 0), writes each configs/<preset>.cfg at width 16, 3 residual blocks and
 2 epochs (1 at constant lr), trains it with the drawcycle CLI of this
 checkout, and prints one line per preset: `<preset> <sha256 of
-losses.csv>`.  The runs go to a temporary directory that is removed at
-exit, or to DIR, kept, when --out is given (to compare checkpoints or
-translations).  Uses only the standard library and the CLI.
+losses.csv> <sha256 of final.ckpt>`.  So two checkouts print the same
+lines exactly when their losses and checkpoints are byte-equal.  The runs
+go to a temporary directory that is removed at exit, or to DIR, kept,
+when --out is given (to compare translations).  Uses only the standard
+library and the CLI.
 """
 
 import argparse
@@ -32,6 +34,11 @@ def drawcycle(*args):
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     subprocess.run([sys.executable, "-m", "drawcycle.cli"] + list(args),
                    env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def sha256(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def contract_config(preset):
@@ -59,8 +66,8 @@ def run_contract(out):
             f.write(contract_config(preset))
         run = os.path.join(out, "run_" + preset)
         drawcycle("train", "--data", corpus, "--config", cfg, "--out", run)
-        with open(os.path.join(run, "losses.csv"), "rb") as f:
-            print("%s %s" % (preset, hashlib.sha256(f.read()).hexdigest()), flush=True)
+        print(preset, sha256(os.path.join(run, "losses.csv")),
+              sha256(os.path.join(run, "final.ckpt")), flush=True)
 
 
 def main():
