@@ -67,7 +67,7 @@ class Tensor:
         return "Tensor(shape=%s, requires_grad=%s)" % (self.shape, self.requires_grad)
 
 
-def _as_tensor(x):
+def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
@@ -108,7 +108,7 @@ def _check_ew_shapes(a, b):
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     _check_ew_shapes(a, b)
     out = Tensor(a.data + b.data)
 
@@ -120,7 +120,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     _check_ew_shapes(a, b)
     out = Tensor(a.data - b.data)
 
@@ -132,7 +132,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     _check_ew_shapes(a, b)
     out = Tensor(a.data * b.data)
 
@@ -145,48 +145,39 @@ def mul(a, b):
     return from_op(out, (a, b), bwd)
 
 
-def neg(a):
-    a = _as_tensor(a)
-    out = Tensor(-a.data)
+def pointwise(a, value, local_grad):
+    """Record an elementwise op of one input from its output ``value`` and
+    its local derivative ``local_grad`` (an array of the input's shape, or a
+    scalar): backward hands ``g * local_grad`` to the input."""
+    out = Tensor(value)
 
     def bwd(g):
-        accumulate_grad(a, -g)
+        accumulate_grad(a, g * local_grad)
 
     return from_op(out, (a,), bwd)
+
+
+def neg(a):
+    a = as_tensor(a)
+    return pointwise(a, -a.data, -1.0)
 
 
 def abs_(a):
-    a = _as_tensor(a)
-    out = Tensor(np.abs(a.data))
-    sign = np.sign(a.data)  # subgradient 0 at exactly 0
-
-    def bwd(g):
-        accumulate_grad(a, g * sign)
-
-    return from_op(out, (a,), bwd)
+    a = as_tensor(a)
+    return pointwise(a, np.abs(a.data), np.sign(a.data))  # subgradient 0 at exactly 0
 
 
 def log(a):
-    a = _as_tensor(a)
+    a = as_tensor(a)
     if np.any(a.data <= 0.0):
         raise ValueError("log requires strictly positive inputs")
-    out = Tensor(np.log(a.data))
-
-    def bwd(g):
-        accumulate_grad(a, g / a.data)
-
-    return from_op(out, (a,), bwd)
+    return pointwise(a, np.log(a.data), 1.0 / a.data)
 
 
 def tanh(a):
-    a = _as_tensor(a)
+    a = as_tensor(a)
     t = np.tanh(a.data)
-    out = Tensor(t)
-
-    def bwd(g):
-        accumulate_grad(a, g * (1.0 - t * t))
-
-    return from_op(out, (a,), bwd)
+    return pointwise(a, t, 1.0 - t * t)
 
 
 def _sigmoid(x):
@@ -199,27 +190,17 @@ def _sigmoid(x):
 
 
 def sigmoid(a):
-    a = _as_tensor(a)
+    a = as_tensor(a)
     s = _sigmoid(a.data)
-    out = Tensor(s)
-
-    def bwd(g):
-        accumulate_grad(a, g * s * (1.0 - s))
-
-    return from_op(out, (a,), bwd)
+    return pointwise(a, s, s * (1.0 - s))
 
 
 def softplus(a):
     """Numerically stable ln(1 + e^x); backs every log-sigmoid loss."""
-    a = _as_tensor(a)
+    a = as_tensor(a)
     x = a.data
-    out = Tensor(np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0.0)))))
-    s = _sigmoid(x)
-
-    def bwd(g):
-        accumulate_grad(a, g * s)
-
-    return from_op(out, (a,), bwd)
+    value = np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0.0))))
+    return pointwise(a, value, _sigmoid(x))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +218,7 @@ def softplus(a):
 def _conv_args(name, x, weight, bias, stride, padding, transpose):
     """Check a (transposed) convolution's arguments; returns the tensors and
     the extents (B, C, H, W, O, K, Ho, Wo)."""
-    x, weight = _as_tensor(x), _as_tensor(weight)
+    x, weight = as_tensor(x), as_tensor(weight)
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ValueError("%s expects BCHW input and OIKK weight" % name)
     B, cin, Hx, Wx = x.data.shape
@@ -256,7 +237,7 @@ def _conv_args(name, x, weight, bias, stride, padding, transpose):
     if min(H, W, Ho, Wo) < 1:
         raise ValueError("%s output extent is empty for input %s" % (name, x.data.shape))
     if bias is not None:
-        bias = _as_tensor(bias)
+        bias = as_tensor(bias)
         if bias.data.shape != (cout,):
             raise ValueError("%s bias must have shape (%d,)" % (name, cout))
     return x, weight, bias, (B, C, H, W, O, K, Ho, Wo)
@@ -402,7 +383,7 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0):
 
 def reflect_pad(x, pad):
     """Mirror-pad the two spatial axes of a BCHW tensor."""
-    x = _as_tensor(x)
+    x = as_tensor(x)
     if x.data.ndim != 4:
         raise ValueError("reflect_pad expects a BCHW tensor")
     H, W = x.data.shape[2:]
@@ -426,7 +407,7 @@ def reflect_pad(x, pad):
 
 def reduce(x, kind):
     """Full reduction to a scalar tensor; ``mean`` distributes 1/N backward."""
-    x = _as_tensor(x)
+    x = as_tensor(x)
     if x.data.size == 0:
         raise ValueError("cannot reduce an empty tensor")
     if kind == "mean":

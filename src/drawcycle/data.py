@@ -146,6 +146,8 @@ class SynthConfig:
             raise ValueError("image_size must be >= 16 and divisible by 4")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -303,15 +305,7 @@ def _load_dir(path):
 
 
 def load_corpus(root):
-    """Load a corpus directory written by :func:`write_corpus`."""
-    ds = Dataset(
-        domain_x=_load_dir(os.path.join(root, "trainX")),
-        domain_y=_load_dir(os.path.join(root, "trainY")),
-        test_x=_load_dir(os.path.join(root, "testX")),
-        test_y=_load_dir(os.path.join(root, "testY")),
-    )
-    pair_dir = os.path.join(root, "eval_pairs")
-    if os.path.isdir(pair_dir):
-        ys = _load_dir(pair_dir)
-        ds.paired_eval = list(zip(ds.test_x, ys))
-    return ds
+    """Load the two training domains, ``trainX`` and ``trainY``, of a corpus
+    directory written by :func:`write_corpus`; training reads no other."""
+    return Dataset(domain_x=_load_dir(os.path.join(root, "trainX")),
+                   domain_y=_load_dir(os.path.join(root, "trainY")))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor, accumulate_grad, from_op
+from .autograd import Tensor, accumulate_grad, as_tensor, from_op, pointwise
 from .serialize import RNG_STATE_SHAPE, rng_state_from_array, rng_state_to_array
 
 # added to each channel's variance before instance norm's square root
@@ -117,7 +117,7 @@ class ConvTranspose2d(Layer):
 
 def instance_norm(x, gain, shift):
     """Per-sample, per-channel standardization followed by an affine map."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
+    x = as_tensor(x)
     if x.data.ndim != 4:
         raise ValueError("instance_norm expects a BCHW tensor")
     B, C, H, W = x.data.shape
@@ -160,14 +160,9 @@ class InstanceNorm(Layer):
 def relu_family(x, alpha):
     """LeakyReLU(alpha), ReLU at alpha = 0; the slope at exactly 0 comes
     from the negative branch."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
+    x = as_tensor(x)
     slope = np.where(x.data > 0, 1.0, alpha)
-    out = Tensor(x.data * slope)
-
-    def bwd(g):
-        accumulate_grad(x, g * slope)
-
-    return from_op(out, (x,), bwd)
+    return pointwise(x, x.data * slope, slope)
 
 
 class ReLU(Layer):
@@ -195,18 +190,13 @@ def rrelu_forward(x, rng, train=False):
     backward.  Eval mode uses the deterministic mean slope
     (RRELU_LOWER + RRELU_UPPER) / 2.
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
+    x = as_tensor(x)
     if train:
         a = rng.uniform(RRELU_LOWER, RRELU_UPPER, size=x.data.shape)
     else:
-        a = np.full(x.data.shape, (RRELU_LOWER + RRELU_UPPER) / 2.0)
+        a = (RRELU_LOWER + RRELU_UPPER) / 2.0
     slope = np.where(x.data > 0, 1.0, a)
-    out = Tensor(x.data * slope)
-
-    def bwd(g):
-        accumulate_grad(x, g * slope)
-
-    return from_op(out, (x,), bwd)
+    return pointwise(x, x.data * slope, slope)
 
 
 class RReLU(Layer):
@@ -276,7 +266,7 @@ class KWinners(Layer):
 
 def kwinners_forward(x, state, train=False):
     """Apply K-winner-take-all; gradients pass only through winners."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
+    x = as_tensor(x)
     B = x.data.shape[0]
     flat = x.data.reshape(B, -1)
     n = flat.shape[1]
@@ -297,15 +287,9 @@ def kwinners_forward(x, state, train=False):
         scores = flat
 
     keep = _top_k_mask(scores, k).astype(np.float64)
-    out = Tensor((flat * keep).reshape(x.data.shape))
-
     if train:
         kwinners_update_duty_cycle(state, keep.mean(axis=0))
-
-    def bwd(g):
-        accumulate_grad(x, (g.reshape(B, -1) * keep).reshape(x.data.shape))
-
-    return from_op(out, (x,), bwd)
+    return pointwise(x, (flat * keep).reshape(x.data.shape), keep.reshape(x.data.shape))
 
 
 def _top_k_mask(scores, k):

@@ -57,30 +57,39 @@ def write_entries(path, entries):
     """Write named entries to ``path``.
 
     ``entries`` is an ordered list of (name, value) where value is a
-    float64 array, a uint64 array, or bytes.
+    float64 array, a uint64 array, or bytes.  The container is written to
+    ``path + ".tmp"`` and moved onto ``path`` only once complete, so a
+    write that fails leaves an earlier file at ``path`` whole.
     """
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(entries)))
-        for name, value in entries:
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            if isinstance(value, bytes):
-                fh.write(struct.pack("<BB", _KIND_RAW, 0))
-                fh.write(struct.pack("<Q", len(value)))
-                fh.write(value)
-                continue
-            arr = np.asarray(value)
-            if arr.dtype == np.uint64:
-                kind, dt = _KIND_U8, "<u8"
-            else:
-                kind, dt = _KIND_F8, "<f8"
-                arr = arr.astype(np.float64, copy=False)
-            fh.write(struct.pack("<BB", kind, arr.ndim))
-            for extent in arr.shape:
-                fh.write(struct.pack("<Q", extent))
-            fh.write(np.ascontiguousarray(arr).astype(dt).tobytes())
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(entries)))
+            for name, value in entries:
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(nb)))
+                fh.write(nb)
+                if isinstance(value, bytes):
+                    fh.write(struct.pack("<BB", _KIND_RAW, 0))
+                    fh.write(struct.pack("<Q", len(value)))
+                    fh.write(value)
+                    continue
+                arr = np.asarray(value)
+                if arr.dtype == np.uint64:
+                    kind, dt = _KIND_U8, "<u8"
+                else:
+                    kind, dt = _KIND_F8, "<f8"
+                    arr = arr.astype(np.float64, copy=False)
+                fh.write(struct.pack("<BB", kind, arr.ndim))
+                for extent in arr.shape:
+                    fh.write(struct.pack("<Q", extent))
+                fh.write(np.ascontiguousarray(arr).astype(dt).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_entries(path, keep=None):

@@ -76,7 +76,7 @@ class TrainConfig:
         if self.duty_period < 1:
             raise ValueError("duty_period must be >= 1")
         for name in ("lambda_cyc", "idt_weight", "boost_strength", "pool_size",
-                     "checkpoint_every"):
+                     "checkpoint_every", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be >= 0" % name)
         return self
@@ -137,7 +137,10 @@ def _parse_value(typ, val, key):
         if val.lower() in ("false", "0", "no", "off"):
             return False
         raise ValueError("config key %r: bad boolean %r" % (key, val))
-    return typ(val)
+    try:
+        return typ(val)
+    except ValueError:
+        raise ValueError("config key %r: bad %s %r" % (key, typ.__name__, val)) from None
 
 
 def preset_config(name):

@@ -97,6 +97,21 @@ class TestTrain:
             outs.append((out / "losses.csv").read_text())
         assert outs[0] == outs[1]
 
+    def test_two_domain_directory_trains(self, tmp_path, corpus, trained):
+        # train reads only trainX and trainY: the same losses as on the
+        # full corpus, without its test and eval directories
+        data = tmp_path / "data"
+        for sub in ("trainX", "trainY"):
+            (data / sub).mkdir(parents=True)
+            for name in os.listdir(corpus / sub):
+                (data / sub / name).write_bytes((corpus / sub / name).read_bytes())
+        cfg_path = tmp_path / "t.cfg"
+        write_config(cfg_path, seed=2)
+        out = tmp_path / "trun"
+        assert main(["train", "--data", str(data), "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        assert (out / "losses.csv").read_text() == (trained / "losses.csv").read_text()
+
     def test_zero_epochs_no_checkpoint(self, tmp_path, corpus):
         cfg_path = tmp_path / "z.cfg"
         write_config(cfg_path, epochs_total=0, epochs_const=0)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,8 @@ class TestSynthGenerate:
             synth_generate(SynthConfig(image_size=30))
         with pytest.raises(ValueError):
             synth_generate(SynthConfig(n_train=0))
+        with pytest.raises(ValueError, match="seed"):
+            synth_generate(SynthConfig(seed=-1))
 
 
 class TestCorpusIO:
@@ -170,14 +174,19 @@ class TestCorpusIO:
         ds = synth_generate(SynthConfig(image_size=32, n_train=3, n_test=2, seed=5))
         write_corpus(ds, str(tmp_path))
         back = load_corpus(str(tmp_path))
-        for a, b in zip(ds.domain_x, back.domain_x):
-            assert np.array_equal(a, b)
-        for a, b in zip(ds.test_y, back.test_y):
-            assert np.array_equal(a, b)
-        assert len(back.paired_eval) == 2
-        for (ox, oy), (bx, by) in zip(ds.paired_eval, back.paired_eval):
-            assert np.array_equal(oy, by)
-            assert np.array_equal(ox, bx)
+        for orig, loaded in ((ds.domain_x, back.domain_x), (ds.domain_y, back.domain_y)):
+            assert len(loaded) == 3
+            for a, b in zip(orig, loaded):
+                assert np.array_equal(a, b)
+        # training loads no test or eval images; they are written for
+        # translate and evaluate, eval_pairs/NNNN.pgm the Y of testX/NNNN.pgm
+        assert back.test_x == [] and back.test_y == [] and back.paired_eval is None
+        written = [("testX", ds.test_x), ("testY", ds.test_y),
+                   ("eval_pairs", [y for _, y in ds.paired_eval])]
+        for sub, images in written:
+            assert len(os.listdir(tmp_path / sub)) == 2
+            for i, img in enumerate(images):
+                assert np.array_equal(load_pgm(str(tmp_path / sub / ("%04d.pgm" % i))), img)
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,21 @@ class TestEntries:
         p.write_bytes(data[:-50])
         with pytest.raises(CheckpointError):
             read_entries(str(p))
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        write_entries(path, [("a", np.arange(1000.0))])
+        before = open(path, "rb").read()
+
+        class Unwritable:
+            def __array__(self, *args, **kwargs):
+                raise RuntimeError("no data")
+
+        with pytest.raises(RuntimeError, match="no data"):
+            write_entries(path, [("a", np.zeros(3)), ("b", Unwritable())])
+        assert open(path, "rb").read() == before
+        assert sorted(os.listdir(tmp_path)) == ["c.bin"]
+        assert np.array_equal(read_entries(path)["a"], np.arange(1000.0))
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "e.bin"

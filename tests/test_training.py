@@ -49,6 +49,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig.from_text("idt_enabled = maybe\n")
 
+    def test_bad_number_names_key(self):
+        for key, value in (("width", "1.5"), ("lr0", "abc"), ("seed", "")):
+            with pytest.raises(ValueError, match="config key %r: bad" % key):
+                TrainConfig.from_text("%s = %s\n" % (key, value))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs_const=10, epochs_total=5).validate()
@@ -57,7 +62,7 @@ class TestConfig:
         # a negative period would save every |n|-th epoch, a negative
         # weight reward identity error, a negative strength invert boosting
         for key, value in (("checkpoint_every", -2), ("idt_weight", -1.0),
-                           ("boost_strength", -1.0)):
+                           ("boost_strength", -1.0), ("seed", -1)):
             with pytest.raises(ValueError, match=key):
                 TrainConfig(**{key: value}).validate()
             with pytest.raises(ValueError, match=key):
