@@ -73,12 +73,14 @@ def as_tensor(x):
 
 def accumulate_grad(tensor, g):
     """Add ``g`` into ``tensor.grad`` (a copy of ``g`` when there is none
-    yet), reducing broadcast axes if needed."""
-    if not tensor.requires_grad:
-        return
+    yet).  A size-1 tensor takes the sum of a broadcast ``g``; any other
+    shape mismatch is a wrong vjp and raises."""
     g = np.asarray(g, dtype=np.float64)
     if g.shape != tensor.data.shape:
-        g = np.sum(g).reshape(tensor.data.shape) if tensor.data.size == 1 else g.reshape(tensor.data.shape)
+        if tensor.data.size != 1:
+            raise ValueError("gradient of shape %s for a tensor of shape %s"
+                             % (g.shape, tensor.data.shape))
+        g = np.sum(g).reshape(tensor.data.shape)
     if tensor.grad is None:
         # a copy: one g may be handed to several inputs (add), and a later
         # contribution is added into this buffer in place
@@ -87,74 +89,54 @@ def accumulate_grad(tensor, g):
         tensor.grad += g
 
 
-def from_op(out, inputs, backward_fn):
-    """Finalize an op result: mark it differentiable and record it on the
-    active tape when any input requires gradients."""
+def from_op(out, *pairs):
+    """Finalize an op result from its (input, vjp) pairs: ``vjp(g)`` is
+    that input's share of the output gradient ``g``.  Inputs that are None
+    or need no gradient are dropped.  If any is left and a tape is active,
+    the result is marked differentiable and recorded with one backward that
+    adds each remaining vjp into its input's gradient, in order."""
     tape = Tape._active
-    if tape is not None and any(t.requires_grad for t in inputs):
+    pairs = [(t, vjp) for t, vjp in pairs if t is not None and t.requires_grad]
+    if tape is not None and pairs:
         out.requires_grad = True
+
+        def backward_fn(g):
+            for t, vjp in pairs:
+                accumulate_grad(t, vjp(g))
+
         tape.record(out, backward_fn)
     return out
 
 
-def _check_ew_shapes(a, b):
-    if a.data.shape == b.data.shape:
-        return
-    if a.data.size == 1 or b.data.size == 1:
-        return
-    raise ValueError(
-        "elementwise shapes %s and %s are not broadcastable" % (a.data.shape, b.data.shape)
-    )
+def _operands(a, b):
+    """Both operands of a binary op as tensors, of one shape unless one of
+    them has size 1."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
+        raise ValueError("elementwise shapes %s and %s are not broadcastable" % (a.data.shape, b.data.shape))
+    return a, b
 
 
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_ew_shapes(a, b)
-    out = Tensor(a.data + b.data)
-
-    def bwd(g):
-        accumulate_grad(a, g)
-        accumulate_grad(b, g)
-
-    return from_op(out, (a, b), bwd)
+    a, b = _operands(a, b)
+    return from_op(Tensor(a.data + b.data), (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_ew_shapes(a, b)
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        accumulate_grad(a, g)
-        accumulate_grad(b, -g)
-
-    return from_op(out, (a, b), bwd)
+    a, b = _operands(a, b)
+    return from_op(Tensor(a.data - b.data), (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_ew_shapes(a, b)
-    out = Tensor(a.data * b.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            accumulate_grad(a, g * b.data)
-        if b.requires_grad:
-            accumulate_grad(b, g * a.data)
-
-    return from_op(out, (a, b), bwd)
+    a, b = _operands(a, b)
+    return from_op(Tensor(a.data * b.data), (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def pointwise(a, value, local_grad):
     """Record an elementwise op of one input from its output ``value`` and
     its local derivative ``local_grad`` (an array of the input's shape, or a
-    scalar): backward hands ``g * local_grad`` to the input."""
-    out = Tensor(value)
-
-    def bwd(g):
-        accumulate_grad(a, g * local_grad)
-
-    return from_op(out, (a,), bwd)
+    scalar): its vjp is ``g * local_grad``."""
+    return from_op(Tensor(value), (a, lambda g: g * local_grad))
 
 
 def neg(a):
@@ -204,16 +186,16 @@ def softplus(a):
 
 
 # ---------------------------------------------------------------------------
-# convolution kernels (im2col / col2im), shared by conv2d and its adjoint
-# conv_transpose2d.  Names follow conv2d: image side (B, C, H, W), column side
-# (B, O, Ho, Wo), weight (O, C, K, K).
+# convolution kernels on raw arrays.  Names follow conv2d: image side
+# (B, C, H, W), column side (B, O, Ho, Wo), weight (O, C, K, K).  conv2d is
+# _conv_forward, with vjps _conv_input_grad and _conv_weight_grad; its adjoint
+# conv_transpose2d is _conv_input_grad, with vjps _conv_forward and
+# _conv_weight_grad of the image and gradient swapped.
 #
-# A stride-1 conv2d builds its K*K-expanded intermediate on the side with
-# fewer channels.  Forward: im2col of the image when O >= C; when O < C, one
-# GEMM of the reordered kernel with the padded image, then a sum of its K*K
-# shifted windows (_shifted_sum), and the weight gradient from windows of the
-# padded image against shifted copies of g (_window_weight_grad).  Input
-# gradient: im2col of g when O <= C, col2im otherwise.
+# A stride-1 conv builds its K*K-expanded intermediate on the side with
+# fewer channels.  Forward and weight gradient: the image's columns when
+# O >= C, shifted windows of the padded image when O < C (narrow).  Input
+# gradient: g's columns when O <= C, col2im otherwise.
 
 def _conv_args(name, x, weight, bias, stride, padding, transpose):
     """Check a (transposed) convolution's arguments; returns the tensors and
@@ -243,10 +225,22 @@ def _conv_args(name, x, weight, bias, stride, padding, transpose):
     return x, weight, bias, (B, C, H, W, O, K, Ho, Wo)
 
 
+def _zero_pad(a, pad, right=0):
+    """``a`` (B, C, H, W) with ``pad`` zero rows and columns on every side
+    and ``right`` more zero columns on the right (``a`` itself when both
+    are 0): the same array as ``np.pad``, without its per-call cost."""
+    if not (pad or right):
+        return a
+    B, C, H, W = a.shape
+    out = np.zeros((B, C, H + 2 * pad, W + 2 * pad + right))
+    out[:, :, pad:pad + H, pad:pad + W] = a
+    return out
+
+
 def _im2col(img, K, stride, padding, Ho, Wo):
     """Zero-pad a (B, C, H, W) image and gather its K x K patches as
     contiguous (B, C*K*K, Ho*Wo) columns."""
-    xpad = np.pad(img, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else img
+    xpad = _zero_pad(img, padding)
     B, C = xpad.shape[:2]
     sB, sC, sH, sW = xpad.strides
     view = np.lib.stride_tricks.as_strided(
@@ -266,11 +260,27 @@ def _col2im(cols, C, H, W, K, stride, padding, Ho, Wo):
     return xp[:, :, padding:padding + H, padding:padding + W] if padding else xp
 
 
-def _shifted_sum(y, Ho, Wo):
-    """Sum the K*K shifted (Ho, Wo) windows of per-offset image products
-    ``y`` (B, O, K, K, Hp, Wp): window (i, j) starts at row i, column j.
-    The gather that mirrors ``_col2im``'s scatter."""
-    K = y.shape[2]
+def _cols_weight_grad(gm, cols):
+    """Weight gradient from column-side gradients ``gm`` (B, O, Ho*Wo) and
+    image columns ``cols`` (B, C*K*K, Ho*Wo)."""
+    return np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
+
+
+def _conv_forward(x, w, stride, padding, Ho, Wo):
+    """conv2d without bias of the image ``x`` (B, C, H, W) with the weight
+    ``w`` (O, C, K, K): (B, O, Ho, Wo).  The narrow case (stride 1, O < C)
+    builds no columns: one GEMM of the reordered kernel with the padded
+    image gives per-offset products y (B, O, K, K, Hp, Wp), and the output
+    sums their K*K shifted windows, window (i, j) starting at row i, column
+    j: the gather that mirrors ``_col2im``'s scatter."""
+    B, C = x.shape[:2]
+    O, _, K, _ = w.shape
+    if not (stride == 1 and O < C):
+        return np.matmul(w.reshape(O, C * K * K), _im2col(x, K, stride, padding, Ho, Wo)).reshape(B, O, Ho, Wo)
+    xpad = _zero_pad(x, padding)
+    Hp, Wp = xpad.shape[2:]
+    wr = w.transpose(0, 2, 3, 1).reshape(O * K * K, C)
+    y = np.matmul(wr, xpad.reshape(B, C, Hp * Wp)).reshape(B, O, K, K, Hp, Wp)
     out = y[:, :, 0, 0, :Ho, :Wo].copy()
     for i in range(K):
         for j in range(K):
@@ -279,106 +289,78 @@ def _shifted_sum(y, Ho, Wo):
     return out
 
 
-def _window_weight_grad(g, xflat, K, Wp):
-    """Weight gradient (O, C, K, K) of a stride-1 conv from the output
-    gradient ``g`` (B, O, Ho, Wo) and the flat padded image ``xflat``
-    (B, C, Hp*Wp), without the image's columns.  ``g`` padded to Wp columns
-    lines up with the flat image, so kernel row i is one GEMM of the image
-    window starting at row i (a view) with a copy of g shifted by each
-    column offset j: the K-wide intermediate is built on g's side."""
-    B, O, Ho = g.shape[:3]
+def _conv_input_grad(g, w, stride, padding, H, W):
+    """Gradient (B, C, H, W) of conv2d's image from its output gradient
+    ``g`` (B, O, Ho, Wo) and weight ``w`` (O, C, K, K)."""
+    B, O, Ho, Wo = g.shape
+    C, K = w.shape[1:3]
+    if stride == 1 and padding < K and O <= C:
+        # the correlation of g, padded by K-1-padding, with the flipped
+        # channel-swapped kernel: one GEMM on g's columns, which hold O/C as
+        # much as col2im's
+        wf = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(C, O * K * K)
+        return np.matmul(wf, _im2col(g, K, 1, K - 1 - padding, H, W)).reshape(B, C, H, W)
+    cols = np.matmul(w.reshape(O, C * K * K).T, g.reshape(B, O, Ho * Wo))
+    return _col2im(cols, C, H, W, K, stride, padding, Ho, Wo)
+
+
+def _conv_weight_grad(x, g, stride, padding, K):
+    """Gradient (O, C, K, K) of conv2d's weight from its image ``x``
+    (B, C, H, W) and output gradient ``g`` (B, O, Ho, Wo).  The image's
+    columns are rebuilt here, not kept on the tape.  The narrow case builds
+    none: g padded to Wp columns lines up with the flat padded image, so
+    kernel row i is one GEMM of the image window starting at row i (a view)
+    with a copy of g shifted by each column offset j, and the K-wide
+    intermediate is built on g's side."""
+    B, C = x.shape[:2]
+    O, Ho, Wo = g.shape[1:]
+    if not (stride == 1 and O < C):
+        cols = _im2col(x, K, stride, padding, Ho, Wo)
+        return _cols_weight_grad(g.reshape(B, O, Ho * Wo), cols).reshape(O, C, K, K)
+    xpad = _zero_pad(x, padding)
+    Wp = xpad.shape[3]
+    xflat = xpad.reshape(B, C, -1)
     N = Ho * Wp
-    gp = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, K - 1))).reshape(B, O, N)
+    gp = _zero_pad(g, 0, K - 1).reshape(B, O, N)
     # gs[b, n, o, j] = gp[b, o, n - j]; a shift past the end drops only the
     # zero pad columns of g's last row, so no window leaves the image
     gs = np.zeros((B, N, O, K))
     for j in range(K):
         gs[:, j:, :, j] = gp[:, :, :N - j].transpose(0, 2, 1)
     gs = gs.reshape(B, N, O * K)
-    C = xflat.shape[1]
     gw = np.empty((C, K, O, K))
     for i in range(K):
         gw[:, i] = np.matmul(xflat[:, :, i * Wp:i * Wp + N], gs).sum(axis=0).reshape(C, O, K)
     return gw.transpose(2, 0, 1, 3)
 
 
-def _accumulate_weight_bias(weight, bias, weight_grad, g):
-    """Weight gradient from ``weight_grad()``, called only when the weight
-    needs it; bias gradient from the output gradient ``g``."""
-    if weight.requires_grad:
-        accumulate_grad(weight, weight_grad().reshape(weight.data.shape))
-    if bias is not None and bias.requires_grad:
-        accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
-
-
-def _cols_weight_grad(gm, cols):
-    """Weight gradient from column-side gradients ``gm`` (B, O, Ho*Wo) and
-    image columns ``cols`` (B, C*K*K, Ho*Wo)."""
-    return np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
-
-
 def conv2d(x, weight, bias=None, stride=1, padding=0):
     """Cross-correlation of a BCHW input with an OIKK kernel."""
     x, weight, bias, (B, C, H, W, O, K, Ho, Wo) = _conv_args(
         "conv2d", x, weight, bias, stride, padding, transpose=False)
-    wm = weight.data.reshape(O, C * K * K)
-    narrow = stride == 1 and O < C
-    if narrow:
-        # no K*K-wide columns; backward keeps only the padded image
-        xpad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-        Hp, Wp = xpad.shape[2:]
-        xflat = xpad.reshape(B, C, Hp * Wp)
-        wr = weight.data.transpose(0, 2, 3, 1).reshape(O * K * K, C)
-        out_data = _shifted_sum(np.matmul(wr, xflat).reshape(B, O, K, K, Hp, Wp), Ho, Wo)
-    else:
-        cols = _im2col(x.data, K, stride, padding, Ho, Wo)
-        out_data = np.matmul(wm, cols).reshape(B, O, Ho, Wo)
+    out_data = _conv_forward(x.data, weight.data, stride, padding, Ho, Wo)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, O, 1, 1)
-    out = Tensor(out_data)
-
-    def bwd(g):
-        gm = g.reshape(B, O, Ho * Wo)
-        if narrow:
-            _accumulate_weight_bias(weight, bias, lambda: _window_weight_grad(g, xflat, K, Wp), g)
-        else:
-            # the columns are rebuilt, not kept on the tape: the node holds
-            # only x, which is alive anyway as the previous layer's output
-            _accumulate_weight_bias(weight, bias, lambda: _cols_weight_grad(
-                gm, _im2col(x.data, K, stride, padding, Ho, Wo)), g)
-        if x.requires_grad:
-            if stride == 1 and padding < K and O <= C:
-                # a stride-1 input gradient is the correlation of g, padded by
-                # K-1-padding, with the flipped channel-swapped kernel: one GEMM
-                # on g's columns, which hold O/C as much as col2im's
-                wf = weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(C, O * K * K)
-                gx = np.matmul(wf, _im2col(g, K, 1, K - 1 - padding, H, W)).reshape(B, C, H, W)
-            else:
-                gx = _col2im(np.matmul(wm.T, gm), C, H, W, K, stride, padding, Ho, Wo)
-            accumulate_grad(x, gx)
-
-    return from_op(out, (x, weight) if bias is None else (x, weight, bias), bwd)
+    return from_op(Tensor(out_data),
+                   (weight, lambda g: _conv_weight_grad(x.data, g, stride, padding, K)),
+                   (bias, lambda g: g.sum(axis=(0, 2, 3))),
+                   (x, lambda g: _conv_input_grad(g, weight.data, stride, padding, H, W)))
 
 
 def conv_transpose2d(x, weight, bias=None, stride=1, padding=0):
     """Fractionally-strided convolution; the adjoint of conv2d with the
-    same OIKK weight (maps O channels back to I channels)."""
+    same OIKK weight (maps O channels back to C channels).  Its value is
+    conv2d's input gradient, its input gradient is conv2d's forward, and its
+    weight gradient is conv2d's with the image and the gradient swapped."""
     x, weight, bias, (B, C, H, W, O, K, Ho, Wo) = _conv_args(
         "conv_transpose2d", x, weight, bias, stride, padding, transpose=True)
-    wm = weight.data.reshape(O, C * K * K)
-    xm = x.data.reshape(B, O, Ho * Wo)
-    out_data = _col2im(np.matmul(wm.T, xm), C, H, W, K, stride, padding, Ho, Wo)
+    out_data = _conv_input_grad(x.data, weight.data, stride, padding, H, W)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, C, 1, 1)
-    out = Tensor(np.ascontiguousarray(out_data))
-
-    def bwd(g):
-        gcols = _im2col(g, K, stride, padding, Ho, Wo)
-        if x.requires_grad:
-            accumulate_grad(x, np.matmul(wm, gcols).reshape(B, O, Ho, Wo))
-        _accumulate_weight_bias(weight, bias, lambda: _cols_weight_grad(xm, gcols), g)
-
-    return from_op(out, (x, weight) if bias is None else (x, weight, bias), bwd)
+    return from_op(Tensor(np.ascontiguousarray(out_data)),
+                   (x, lambda g: _conv_forward(g, weight.data, stride, padding, Ho, Wo)),
+                   (weight, lambda g: _conv_weight_grad(g, x.data, stride, padding, K)),
+                   (bias, lambda g: g.sum(axis=(0, 2, 3))))
 
 
 def reflect_pad(x, pad):
@@ -391,7 +373,7 @@ def reflect_pad(x, pad):
         raise ValueError("reflect pad %d too large for extents (%d, %d)" % (pad, H, W))
     out = Tensor(np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect"))
 
-    def bwd(g):
+    def vjp(g):
         # fold each mirrored border back onto the row or column it copies:
         # padded index -i copies i, and index n-1+i copies n-1-i
         gc = g[:, :, :, pad:pad + W].copy()
@@ -400,9 +382,9 @@ def reflect_pad(x, pad):
         gx = gc[:, :, pad:pad + H].copy()
         gx[:, :, 1:pad + 1] += gc[:, :, :pad][:, :, ::-1]
         gx[:, :, H - 1 - pad:H - 1] += gc[:, :, H + pad:][:, :, ::-1]
-        accumulate_grad(x, gx)
+        return gx
 
-    return from_op(out, (x,), bwd)
+    return from_op(out, (x, vjp))
 
 
 def reduce(x, kind):
@@ -418,11 +400,7 @@ def reduce(x, kind):
         scale = 1.0
     else:
         raise ValueError("unknown reduce kind %r" % (kind,))
-
-    def bwd(g):
-        accumulate_grad(x, np.full(x.data.shape, float(g) * scale))
-
-    return from_op(out, (x,), bwd)
+    return from_op(out, (x, lambda g: np.full(x.data.shape, float(g) * scale)))
 
 
 def mean(x):

@@ -7,6 +7,7 @@ after each epoch and at run end, also when the run fails.
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -169,27 +170,47 @@ def _chart_svg(title, xs, ys, color, x0, y0, w, h):
     return parts
 
 
+def _finite(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def _loss_row(path, line, text, n_fields):
+    """One losses.csv row as floats, with None for an empty loss cell (a
+    column the run did not use).  Raises naming the file and line for a
+    field count other than the header's, or a cell that is not a finite
+    number."""
+    cells = text.split(",")
+    if len(cells) != n_fields:
+        raise ValueError("%s line %d: %d fields, the header has %d" % (path, line, len(cells), n_fields))
+    bad = [c for i, c in enumerate(cells) if (c or i == 0) and not _finite(c)]
+    if bad:
+        raise ValueError("%s line %d: %r is not a finite number" % (path, line, bad[0]))
+    return [float(c) if c else None for c in cells]
+
+
 def cmd_curves(args):
     with open(args.losses) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
     if len(lines) < 2:
         raise ValueError("%s has no data rows" % (args.losses,))
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header[0] != "epoch":
         raise ValueError("%s: first column must be 'epoch'" % (args.losses,))
     columns = args.columns.split(",") if args.columns else header[1:]
     for c in columns:
         if c not in header[1:]:
             raise ValueError("unknown loss column %r" % (c,))
-    rows = [ln.split(",") for ln in lines[1:]]
-    epochs = [float(r[0]) for r in rows]
+    rows = [_loss_row(args.losses, n, ln, len(header)) for n, ln in lines[1:]]
     chart_w, chart_h, pad = 640, 120, 50
     parts = []
     y0 = pad
     drawn = 0
     for ci, col in enumerate(columns):
         idx = header.index(col)
-        series = [(e, float(r[idx])) for e, r in zip(epochs, rows) if r[idx] != ""]
+        series = [(r[0], r[idx]) for r in rows if r[idx] is not None]
         if not series:
             continue
         xs = [s[0] for s in series]

@@ -70,6 +70,8 @@ def load_pgm(path):
         maxval = int(next_token())
     except ValueError:
         raise PGMError("%s: malformed header" % (path,))
+    if w < 1 or h < 1:
+        raise PGMError("%s: empty image size %d x %d" % (path, w, h))
     if maxval != 255:
         raise PGMError("%s: unsupported maxval %d (need 255)" % (path, maxval))
     pos += 1  # single whitespace after maxval

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor, accumulate_grad, as_tensor, from_op, pointwise
+from .autograd import Tensor, as_tensor, from_op, pointwise
 from .serialize import RNG_STATE_SHAPE, rng_state_from_array, rng_state_to_array
 
 # added to each channel's variance before instance norm's square root
@@ -133,18 +133,14 @@ def instance_norm(x, gain, shift):
     g4 = gain.data.reshape(1, C, 1, 1)
     out = Tensor(g4 * xhat + shift.data.reshape(1, C, 1, 1))
 
-    def bwd(g):
-        if shift.requires_grad:
-            accumulate_grad(shift, g.sum(axis=(0, 2, 3)))
-        if gain.requires_grad:
-            accumulate_grad(gain, (g * xhat).sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            gh = g * g4
-            m1 = gh.mean(axis=(2, 3), keepdims=True)
-            m2 = (gh * xhat).mean(axis=(2, 3), keepdims=True)
-            accumulate_grad(x, inv * (gh - m1 - xhat * m2))
+    def x_vjp(g):
+        gh = g * g4
+        m1 = gh.mean(axis=(2, 3), keepdims=True)
+        m2 = (gh * xhat).mean(axis=(2, 3), keepdims=True)
+        return inv * (gh - m1 - xhat * m2)
 
-    return from_op(out, (x, gain, shift), bwd)
+    return from_op(out, (shift, lambda g: g.sum(axis=(0, 2, 3))),
+                   (gain, lambda g: (g * xhat).sum(axis=(0, 2, 3))), (x, x_vjp))
 
 
 class InstanceNorm(Layer):

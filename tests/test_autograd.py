@@ -289,14 +289,18 @@ class TestConvTranspose2d:
         rhs = np.sum(x * ag.conv_transpose2d(Tensor(y), w, stride=s, padding=p).data)
         assert abs(lhs - rhs) < 1e-10
 
-    def test_gradients(self):
+    # stride 2 runs conv2d's col2im, im2col and column kernels; stride 1
+    # with fewer input than output channels runs its flipped-kernel, narrow
+    # and window kernels
+    @pytest.mark.parametrize("cin,cout,stride", [(3, 2, 2), (2, 3, 2), (3, 2, 1), (2, 3, 1)])
+    def test_gradients(self, cin, cout, stride):
         rng = np.random.default_rng(13)
-        x = rng.normal(size=(1, 3, 3, 3))
-        w = rng.normal(size=(3, 2, 4, 4))
-        b = rng.normal(size=2)
+        x = rng.normal(size=(1, cin, 3, 3))
+        w = rng.normal(size=(cin, cout, 4, 4))
+        b = rng.normal(size=cout)
 
         _, (gx, gw, gb) = scalar_loss(
-            lambda a, ww, bb: ag.mean(ag.conv_transpose2d(a, ww, bb, stride=2, padding=1)),
+            lambda a, ww, bb: ag.mean(ag.conv_transpose2d(a, ww, bb, stride=stride, padding=1)),
             x, w, b)
         for arr, g, pick in ((x, gx, 0), (w, gw, 1), (b, gb, 2)):
             def f(v, pick=pick):
@@ -305,7 +309,7 @@ class TestConvTranspose2d:
                 with Tape():
                     return ag.mean(ag.conv_transpose2d(
                         Tensor(args[0]), Tensor(args[1]), Tensor(args[2]),
-                        stride=2, padding=1)).item()
+                        stride=stride, padding=1)).item()
             assert rel_error(g, numeric_grad(f, arr)) < REL_TOL
 
 
@@ -439,6 +443,48 @@ class TestBackward:
             outs.append((loss.item(), X.grad.copy()))
         assert outs[0][0] == outs[1][0]
         assert np.array_equal(outs[0][1], outs[1][1])
+
+
+def _no_call(g):
+    raise AssertionError("vjp of an input that needs no gradient was called")
+
+
+class TestFromOp:
+    def test_skips_vjp_of_constant_input(self):
+        tape = Tape()
+        with tape:
+            a = Tensor([1.0, 2.0], requires_grad=True)
+            c = Tensor([3.0, 4.0])
+            out = ag.from_op(Tensor(a.data * c.data), (a, lambda g: g * c.data), (c, _no_call))
+            loss = ag.reduce(out, "sum")
+        ag.backward(loss, tape)
+        assert np.array_equal(a.grad, [3.0, 4.0])
+        assert c.grad is None
+
+    def test_skips_none_input(self):
+        tape = Tape()
+        with tape:
+            a = Tensor([1.0, 2.0], requires_grad=True)
+            loss = ag.reduce(ag.from_op(Tensor(2.0 * a.data), (a, lambda g: 2.0 * g), (None, _no_call)), "sum")
+        ag.backward(loss, tape)
+        assert np.array_equal(a.grad, [2.0, 2.0])
+
+    def test_records_nothing_without_gradients(self):
+        tape = Tape()
+        with tape:
+            out = ag.from_op(Tensor([1.0]), (Tensor([1.0]), _no_call), (None, _no_call))
+        assert len(tape) == 0
+        assert not out.requires_grad and out.node_id is None
+
+    def test_wrong_gradient_shape_rejected(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match=r"\(3, 2\).*\(2, 3\)"):
+            ag.accumulate_grad(x, np.ones((3, 2)))
+
+    def test_size_one_gradient_sums_broadcast(self):
+        x = Tensor([0.0], requires_grad=True)
+        ag.accumulate_grad(x, np.ones(3))
+        assert np.array_equal(x.grad, [3.0])
 
 
 class TestZeroGrad:

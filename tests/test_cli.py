@@ -385,6 +385,23 @@ class TestCurves:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row,why", [
+        ("3,1.0,1.1", "3 fields, the header has 8"),
+        ("3,1.0,1.1,0.7,0.6,nan,0.2,12.0", "'nan' is not a finite number"),
+        ("3,1.0,1.1,0.7,0.6,1.5,x,12.0", "'x' is not a finite number"),
+        (",1.0,1.1,0.7,0.6,1.5,0.2,12.0", "'' is not a finite number"),
+    ])
+    def test_bad_row_fails(self, tmp_path, capsys, row, why):
+        # a short row failed with "list index out of range", and a nan cell
+        # exited 0 with "nan" in the SVG's points
+        losses = self._csv(tmp_path)
+        losses.write_text(losses.read_text() + "\n" + row + "\n")
+        out = tmp_path / "b.svg"
+        rc = main(["curves", "--losses", str(losses), "--out", str(out)])
+        assert rc == 1
+        assert "%s line 6: %s" % (losses, why) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_column_fails(self, tmp_path, capsys):
         losses = self._csv(tmp_path)
         rc = main(["curves", "--losses", str(losses), "--out", str(tmp_path / "u.svg"),

@@ -43,6 +43,15 @@ class TestPgm:
         with pytest.raises(PGMError):
             load_pgm(str(p))
 
+    @pytest.mark.parametrize("size", [b"-4 -4", b"0 5"])
+    def test_empty_size_rejected(self, tmp_path, size):
+        # "-4 -4" with 16 bytes reached a bare numpy reshape error, and
+        # "0 5" loaded as a (5, 0) array
+        p = tmp_path / "empty.pgm"
+        p.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(16))
+        with pytest.raises(PGMError, match="empty.pgm"):
+            load_pgm(str(p))
+
     def test_wide_maxval_rejected(self, tmp_path):
         p = tmp_path / "wide.pgm"
         p.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
