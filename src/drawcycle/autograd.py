@@ -9,6 +9,8 @@ is rebuilt every training step.
 All data is float64.  Convolution is cross-correlation (no kernel flip).
 """
 
+import math
+
 import numpy as np
 
 
@@ -25,8 +27,17 @@ class Tape:
         return len(self._nodes)
 
     def record(self, output, backward_fn):
-        output.node_id = len(self._nodes)
-        self._nodes.append((output, backward_fn))
+        output.node = _Node(output.data.shape, len(self._nodes))
+        self._nodes.append((output.node, backward_fn))
+
+    def target(self, t):
+        """Where a contribution to ``t``'s gradient goes on this tape: its
+        node when ``t`` was recorded here since the last clear, else ``t``
+        itself, as a leaf."""
+        node = t.node
+        if node is not None and node.index < len(self._nodes) and self._nodes[node.index][0] is node:
+            return node
+        return t
 
     def clear(self):
         self._nodes.clear()
@@ -41,16 +52,30 @@ class Tape:
         return False
 
 
+class _Node:
+    """A recorded output as backward sees it: its shape, the gradient
+    accumulated for it and its place on the tape.  The tape and the ops
+    that consume the output hold this, not the output ``Tensor``, so the
+    output's values are freed as soon as no vjp reads them."""
+
+    __slots__ = ("shape", "grad", "index")
+
+    def __init__(self, shape, index):
+        self.shape = shape
+        self.grad = None
+        self.index = index
+
+
 class Tensor:
     """Dense n-dimensional float64 value with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id")
+    __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self.node_id = None
+        self.node = None  # its _Node once an op records it on a tape
 
     @property
     def shape(self):
@@ -71,22 +96,22 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def accumulate_grad(tensor, g):
-    """Add ``g`` into ``tensor.grad`` (a copy of ``g`` when there is none
-    yet).  A size-1 tensor takes the sum of a broadcast ``g``; any other
-    shape mismatch is a wrong vjp and raises."""
+def accumulate_grad(target, g):
+    """Add ``g`` into the gradient of ``target``, a tape node or a leaf
+    ``Tensor``; ``g`` itself is stored when there is none yet, so the caller
+    hands over an array that nothing else holds.  A size-1 target takes the
+    sum of a broadcast ``g``; any other shape mismatch is a wrong vjp and
+    raises."""
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != tensor.data.shape:
-        if tensor.data.size != 1:
-            raise ValueError("gradient of shape %s for a tensor of shape %s"
-                             % (g.shape, tensor.data.shape))
-        g = np.sum(g).reshape(tensor.data.shape)
-    if tensor.grad is None:
-        # a copy: one g may be handed to several inputs (add), and a later
-        # contribution is added into this buffer in place
-        tensor.grad = g.copy()
+    shape = target.shape
+    if g.shape != shape:
+        if math.prod(shape) != 1:
+            raise ValueError("gradient of shape %s for a tensor of shape %s" % (g.shape, shape))
+        g = np.sum(g).reshape(shape)
+    if target.grad is None:
+        target.grad = g
     else:
-        tensor.grad += g
+        target.grad += g
 
 
 def from_op(out, *pairs):
@@ -94,15 +119,21 @@ def from_op(out, *pairs):
     that input's share of the output gradient ``g``.  Inputs that are None
     or need no gradient are dropped.  If any is left and a tape is active,
     the result is marked differentiable and recorded with one backward that
-    adds each remaining vjp into its input's gradient, in order."""
+    adds each remaining vjp into its input's gradient target, in order."""
     tape = Tape._active
-    pairs = [(t, vjp) for t, vjp in pairs if t is not None and t.requires_grad]
-    if tape is not None and pairs:
+    if tape is None:
+        return out
+    pairs = [(tape.target(t), vjp) for t, vjp in pairs if t is not None and t.requires_grad]
+    if pairs:
         out.requires_grad = True
 
         def backward_fn(g):
-            for t, vjp in pairs:
-                accumulate_grad(t, vjp(g))
+            for target, vjp in pairs:
+                r = vjp(g)
+                # an identity vjp (add, sub) hands g itself to every input,
+                # and a stored gradient is added into in place; any other
+                # vjp returns a fresh array
+                accumulate_grad(target, r.copy() if r is g else r)
 
         tape.record(out, backward_fn)
     return out
@@ -263,6 +294,8 @@ def _col2im(cols, C, H, W, K, stride, padding, Ho, Wo):
 def _cols_weight_grad(gm, cols):
     """Weight gradient from column-side gradients ``gm`` (B, O, Ho*Wo) and
     image columns ``cols`` (B, C*K*K, Ho*Wo)."""
+    if gm.shape[0] == 1:
+        return np.matmul(gm[0], cols[0].T)  # one GEMM, no length-1 sum
     return np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
 
 
@@ -364,18 +397,25 @@ def conv_transpose2d(x, weight, bias=None, stride=1, padding=0):
 
 
 def reflect_pad(x, pad):
-    """Mirror-pad the two spatial axes of a BCHW tensor."""
+    """Mirror-pad the two spatial axes of a BCHW tensor: padded index -i
+    copies i, and index n-1+i copies n-1-i (``np.pad``'s reflect mode)."""
     x = as_tensor(x)
     if x.data.ndim != 4:
         raise ValueError("reflect_pad expects a BCHW tensor")
-    H, W = x.data.shape[2:]
+    B, C, H, W = x.data.shape
     if pad < 0 or (pad > 0 and pad >= min(H, W)):
         raise ValueError("reflect pad %d too large for extents (%d, %d)" % (pad, H, W))
-    out = Tensor(np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect"))
+    # the mirrored rows of x, then whole mirrored columns of that: np.pad's
+    # order, which a translate's peak memory is sensitive to
+    xp = np.empty((B, C, H + 2 * pad, W + 2 * pad))
+    xp[:, :, pad:pad + H, pad:pad + W] = x.data
+    xp[:, :, :pad, pad:pad + W] = x.data[:, :, 1:pad + 1][:, :, ::-1]
+    xp[:, :, H + pad:, pad:pad + W] = x.data[:, :, H - 1 - pad:H - 1][:, :, ::-1]
+    xp[:, :, :, :pad] = xp[:, :, :, pad + 1:2 * pad + 1][:, :, :, ::-1]
+    xp[:, :, :, W + pad:] = xp[:, :, :, W - 1:W - 1 + pad][:, :, :, ::-1]
 
     def vjp(g):
-        # fold each mirrored border back onto the row or column it copies:
-        # padded index -i copies i, and index n-1+i copies n-1-i
+        # fold each mirrored border back onto the row or column it copies
         gc = g[:, :, :, pad:pad + W].copy()
         gc[:, :, :, 1:pad + 1] += g[:, :, :, :pad][:, :, :, ::-1]
         gc[:, :, :, W - 1 - pad:W - 1] += g[:, :, :, W + pad:][:, :, :, ::-1]
@@ -384,7 +424,7 @@ def reflect_pad(x, pad):
         gx[:, :, H - 1 - pad:H - 1] += gc[:, :, H + pad:][:, :, ::-1]
         return gx
 
-    return from_op(out, (x, vjp))
+    return from_op(Tensor(xp), (x, vjp))
 
 
 def reduce(x, kind):
@@ -400,7 +440,8 @@ def reduce(x, kind):
         scale = 1.0
     else:
         raise ValueError("unknown reduce kind %r" % (kind,))
-    return from_op(out, (x, lambda g: np.full(x.data.shape, float(g) * scale)))
+    shape = x.data.shape
+    return from_op(out, (x, lambda g: np.full(shape, float(g) * scale)))
 
 
 def mean(x):
@@ -412,15 +453,15 @@ def backward(root, tape):
     in reverse, accumulating gradients into every reachable tensor."""
     if root.data.size != 1:
         raise ValueError("backward root must be a scalar tensor")
-    if root.node_id is None:
-        raise ValueError("backward root was not recorded on a tape")
+    if tape.target(root) is root:
+        raise ValueError("backward root was not recorded on this tape")
     # A node's gradient is dropped as soon as its backward function has used
     # it, so a repeated call on the same tape accumulates into the leaves
     # without double-counting.
-    root.grad = np.ones_like(root.data)
-    for out, fn in reversed(tape._nodes):
-        if out.grad is not None:
-            g, out.grad = out.grad, None
+    root.node.grad = np.ones(root.node.shape)
+    for node, fn in reversed(tape._nodes):
+        if node.grad is not None:
+            g, node.grad = node.grad, None
             fn(g)
 
 

@@ -126,10 +126,13 @@ def instance_norm(x, gain, shift):
     if gain.data.shape != (C,) or shift.data.shape != (C,):
         raise ValueError("instance_norm gain/shift must have shape (C,)")
 
+    # np.var's own steps on the centred input, which is then scaled in place
+    # into xhat: no second activation-sized array
     mu = x.data.mean(axis=(2, 3), keepdims=True)
-    var = x.data.var(axis=(2, 3), keepdims=True)
+    xhat = x.data - mu
+    var = (xhat * xhat).mean(axis=(2, 3), keepdims=True)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
     g4 = gain.data.reshape(1, C, 1, 1)
     out = Tensor(g4 * xhat + shift.data.reshape(1, C, 1, 1))
 
@@ -157,8 +160,11 @@ def relu_family(x, alpha):
     """LeakyReLU(alpha), ReLU at alpha = 0; the slope at exactly 0 comes
     from the negative branch."""
     x = as_tensor(x)
-    slope = np.where(x.data > 0, 1.0, alpha)
-    return pointwise(x, x.data * slope, slope)
+    # the tape keeps the 1-byte sign mask, not a float slope per element;
+    # x where positive, else x * alpha: the bits of x * slope
+    pos = x.data > 0
+    return from_op(Tensor(np.where(pos, x.data, x.data * alpha)),
+                   (x, lambda g: g * np.where(pos, 1.0, alpha)))
 
 
 class ReLU(Layer):
@@ -282,10 +288,12 @@ def kwinners_forward(x, state, train=False):
     else:
         scores = flat
 
-    keep = _top_k_mask(scores, k).astype(np.float64)
+    # the boolean winner mask multiplies as 1.0 / 0.0
+    win = _top_k_mask(scores, k)
     if train:
-        kwinners_update_duty_cycle(state, keep.mean(axis=0))
-    return pointwise(x, (flat * keep).reshape(x.data.shape), keep.reshape(x.data.shape))
+        kwinners_update_duty_cycle(state, win.mean(axis=0))
+    win = win.reshape(x.data.shape)
+    return from_op(Tensor(x.data * win), (x, lambda g: g * win))
 
 
 def _top_k_mask(scores, k):

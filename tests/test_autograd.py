@@ -262,6 +262,16 @@ class TestConv2d:
         assert np.array_equal(w.grad, want)
 
 
+    def test_single_sample_weight_grad_matches_batched(self):
+        # one sample takes a plain GEMM; the reference is the batched
+        # product's length-1 sum, which may turn -0.0 into +0.0
+        rng = np.random.default_rng(33)
+        gm = rng.normal(size=(1, 6, 50))
+        cols = rng.normal(size=(1, 27, 50))
+        want = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
+        assert np.array_equal(ag._cols_weight_grad(gm, cols), want)
+
+
 class TestConvTranspose2d:
     def test_identity_kernel(self):
         x = np.random.default_rng(0).normal(size=(1, 2, 4, 4))
@@ -326,6 +336,13 @@ class TestReflectPad:
     def test_pad_too_large_rejected(self):
         with pytest.raises(ValueError):
             ag.reflect_pad(Tensor(np.zeros((1, 1, 3, 3))), 3)
+
+    @pytest.mark.parametrize("shape,pad", [((1, 1, 64, 64), 3), ((2, 3, 9, 7), 2),
+                                           ((1, 32, 64, 64), 3), ((1, 2, 4, 5), 3)])
+    def test_matches_np_pad(self, shape, pad):
+        x = np.random.default_rng(20).normal(size=shape)
+        want = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect")
+        assert ag.reflect_pad(Tensor(x), pad).data.tobytes() == want.tobytes()
 
     def test_gradient(self):
         x = np.random.default_rng(2).normal(size=(1, 1, 4, 4))
@@ -429,6 +446,31 @@ class TestBackward:
         assert np.array_equal(a.grad, [2.0, 2.0])
         assert np.array_equal(b.grad, [2.0, 2.0])
 
+    @pytest.mark.parametrize("cleared", [True, False])
+    def test_output_of_another_tape_is_a_leaf(self, cleared):
+        # y was recorded on a cleared tape, or on another one: on the tape
+        # that uses it now it is a leaf, and its .grad takes the contribution
+        first = Tape()
+        with first:
+            x = Tensor([1.0, 2.0], requires_grad=True)
+            y = ag.mul(x, Tensor([3.0, 3.0]))
+        if cleared:
+            first.clear()
+        tape = first if cleared else Tape()
+        with tape:
+            loss = ag.reduce(ag.mul(y, Tensor([2.0, 5.0])), "sum")
+        ag.backward(loss, tape)
+        assert np.array_equal(y.grad, [2.0, 5.0])
+        assert x.grad is None
+
+    def test_root_of_a_cleared_tape_rejected(self):
+        tape = Tape()
+        with tape:
+            loss = ag.reduce(Tensor([1.0, 2.0], requires_grad=True), "sum")
+        tape.clear()
+        with pytest.raises(ValueError, match="not recorded on this tape"):
+            ag.backward(loss, tape)
+
     def test_determinism(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 2, 8, 8))
@@ -474,7 +516,7 @@ class TestFromOp:
         with tape:
             out = ag.from_op(Tensor([1.0]), (Tensor([1.0]), _no_call), (None, _no_call))
         assert len(tape) == 0
-        assert not out.requires_grad and out.node_id is None
+        assert not out.requires_grad and out.node is None
 
     def test_wrong_gradient_shape_rejected(self):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,22 @@ from drawcycle import autograd as ag
 from drawcycle.autograd import Tape, Tensor
 from drawcycle.layers import (
     Conv2d, InstanceNorm, KWinners, ReLU, ResidualBlock, RReLU,
-    SparseConv2d, instance_norm, kwinners_forward, kwinners_update_duty_cycle,
-    relu_family, rrelu_forward, sparse_mask_init,
+    NORM_EPS, SparseConv2d, _top_k_mask, instance_norm, kwinners_forward,
+    kwinners_update_duty_cycle, relu_family, rrelu_forward, sparse_mask_init,
 )
 from drawcycle.models import init_weights
 
 from gradcheck import REL_TOL, numeric_grad, rel_error
+
+
+def _input_grad(op, x, g):
+    """Gradient of sum(op(x) * g) with respect to x."""
+    tape = Tape()
+    with tape:
+        t = Tensor(x, requires_grad=True)
+        loss = ag.reduce(ag.mul(op(t), Tensor(g)), "sum")
+    ag.backward(loss, tape)
+    return t.grad
 
 
 class TestSparseMask:
@@ -133,6 +144,16 @@ class TestInstanceNorm:
                     return run(*args).item()
             assert rel_error(grad, numeric_grad(f, arr)) < REL_TOL
 
+    def test_matches_np_var_reference(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(1.0, 3.0, size=(2, 3, 9, 7))
+        gain, shift = rng.normal(size=3), rng.normal(size=3)
+        mu = x.mean(axis=(2, 3), keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=(2, 3), keepdims=True) + NORM_EPS)
+        want = gain.reshape(1, 3, 1, 1) * ((x - mu) * inv) + shift.reshape(1, 3, 1, 1)
+        out = instance_norm(Tensor(x), Tensor(gain), Tensor(shift)).data
+        assert out.tobytes() == want.tobytes()
+
     def test_single_element_degenerates_to_shift(self):
         layer = InstanceNorm(2)
         layer.shift.data[:] = [0.5, -1.0]
@@ -159,6 +180,14 @@ class TestReluFamily:
             loss = ag.reduce(relu_family(x, 0.3), "sum")
         ag.backward(loss, tape)
         assert x.grad[0] == 0.3
+
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    def test_gradient_bits_are_g_times_slope(self, alpha):
+        x = np.array([-2.0, -0.0, 0.0, 0.0, -0.0, 1e-300, -1e-300, 3.0])
+        g = np.array([1.5, -2.0, -0.0, 3.0, 4.0, -0.5, -1.0, -0.0])
+        got = _input_grad(lambda t: relu_family(t, alpha), x, g)
+        assert got.tobytes() == (g * np.where(x > 0, 1.0, alpha)).tobytes()
 
 
 class TestRReLU:
@@ -267,6 +296,16 @@ class TestKWinners:
             assert np.all((flat != 0).sum(axis=1) == 5)
             assert np.all(t.grad.reshape(2, -1)[flat == 0] == 0.0)
 
+    @pytest.mark.parametrize("train", [False, True])
+    def test_gradient_bits_are_g_times_mask(self, train):
+        # zeros and -0.0 tie; the winner mask multiplies g as 1.0 / 0.0
+        x = np.array([[0.0, -0.0, -1.0, 2.0, 0.0, -0.0, -3.0, 1e-300]])
+        g = np.array([[-1.5, -2.0, -0.0, 3.0, -4.0, 0.5, -1.0, 2.0]])
+        state = KWinners(k=4, boost_strength=0.0)
+        keep = _top_k_mask(x, 4).astype(np.float64)
+        got = _input_grad(lambda t: kwinners_forward(t, state, train=train), x, g)
+        assert got.tobytes() == (g * keep).tobytes()
+
     def test_eval_at_other_size_keeps_fraction(self):
         rng = np.random.default_rng(6)
         state = KWinners(k_frac=0.3)
@@ -367,3 +406,30 @@ class TestResidualBlock:
             loss = ag.mean(ag.tanh(block.forward(t)))
         ag.backward(loss, tape)
         assert rel_error(t.grad, numeric_grad(f, x)) < REL_TOL
+
+
+class TestTapeMemory:
+    def test_forward_keeps_only_what_backward_reads(self):
+        # conv2d -> instance_norm -> relu on an active tape: backward reads
+        # the conv input (held by the caller), instance norm's xhat and
+        # relu's 1-byte mask; the caller holds the output.  Holding the
+        # conv and norm outputs or a float slope would keep 5 or more
+        # activations beyond the input.
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.normal(size=(1, 8, 32, 32)), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+        gain, shift = Tensor(np.ones(8), requires_grad=True), Tensor(np.zeros(8), requires_grad=True)
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with tape:
+                out = relu_family(instance_norm(ag.conv2d(x, w, padding=1), gain, shift), 0.0)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2.5 * x.data.nbytes
+        with tape:
+            loss = ag.reduce(out, "sum")
+        ag.backward(loss, tape)
+        assert x.grad.shape == x.data.shape
