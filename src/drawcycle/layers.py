@@ -256,13 +256,13 @@ class KWinners(Layer):
                 ("duty_cycle", self.duty_cycle)]
 
     def load_state_arrays(self, get):
-        meta = get("meta", (2,))
-        if meta[0] < 0:
+        n, k = get("meta", (2,))
+        if n < 0:
             self.n = None
             self.duty_cycle = None
             return
-        self.n = int(meta[0])
-        self.k = int(meta[1])
+        self.n = int(n)
+        self.k = int(k)
         self.duty_cycle = get("duty_cycle", (self.n,)).copy()
 
 

@@ -76,15 +76,13 @@ def write_entries(path, entries):
                     fh.write(value)
                     continue
                 arr = np.asarray(value)
-                if arr.dtype == np.uint64:
-                    kind, dt = _KIND_U8, "<u8"
-                else:
-                    kind, dt = _KIND_F8, "<f8"
-                    arr = arr.astype(np.float64, copy=False)
+                kind, dt = (_KIND_U8, "<u8") if arr.dtype == np.uint64 else (_KIND_F8, "<f8")
                 fh.write(struct.pack("<BB", kind, arr.ndim))
                 for extent in arr.shape:
                     fh.write(struct.pack("<Q", extent))
-                fh.write(np.ascontiguousarray(arr).astype(dt).tobytes())
+                # the array's own buffer, copied only when it is not
+                # contiguous in the stored dtype
+                fh.write(np.ascontiguousarray(arr, dtype=dt))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -6,6 +6,7 @@ Given (seed, config, dataset), every reported loss is deterministic.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from typing import List
 
@@ -248,6 +249,7 @@ class ImagePool:
         return [("images", images), ("rng", rng_state_to_array(self.rng))]
 
     def load_state_arrays(self, get):
+        self.rng = rng_state_from_array(get("rng", RNG_STATE_SHAPE))
         images = get("images")
         # n stored batches of one-channel images (n, B, 1, H, W), or the
         # empty placeholder that state_arrays writes
@@ -256,7 +258,6 @@ class ImagePool:
             raise ValueError("pool images have shape %s, expected (n, B, 1, H, W) with n <= %d"
                              % (images.shape, self.capacity))
         self.images = [im.copy() for im in images]
-        self.rng = rng_state_from_array(get("rng", RNG_STATE_SHAPE))
 
 
 @dataclass
@@ -425,8 +426,7 @@ class Trainer:
 
     @classmethod
     def checkpoint_load(cls, path):
-        get = _entry_getter(path, read_entries(path))
-        try:
+        with _handing_over(path, read_entries(path)) as get:
             cfg = _checkpoint_config(get("config").decode("utf-8"))
             trainer = cls.__new__(cls)._build(cfg)
             trainer.epoch = int(get("epoch", ()))
@@ -434,27 +434,41 @@ class Trainer:
             load_parts(trainer._state_parts(), get)
             trainer.rng_x = rng_state_from_array(get("rng_x", RNG_STATE_SHAPE))
             trainer.rng_y = rng_state_from_array(get("rng_y", RNG_STATE_SHAPE))
-        except ValueError as exc:
-            raise CheckpointError("%s: %s" % (path, exc))
         return trainer
 
 
-def _entry_getter(path, entries):
-    """Check a checkpoint's version; return a lookup ``get(name, shape=None)``
-    of its entries that raises ``CheckpointError`` naming a missing entry,
-    or, given ``shape``, an entry of another shape."""
-    if entries.get("version") != CHECKPOINT_VERSION:
+@contextmanager
+def _handing_over(path, entries):
+    """Check a checkpoint's version and yield a lookup ``get(name,
+    shape=None)`` that hands each entry to its owner once: it takes the
+    entry out of ``entries``, so the file's values are held once, not
+    twice, while they are copied into the built parts.  A missing entry, a
+    second read of one, one of another shape than ``shape``, a
+    ``ValueError`` of the load, and any entry that no part read are each a
+    ``CheckpointError``, so a load is whole or refused."""
+    if entries.pop("version", None) != CHECKPOINT_VERSION:
         raise CheckpointError("%s: unsupported checkpoint version" % (path,))
+    taken = set()
 
     def get(name, shape=None):
+        if name in taken:
+            raise CheckpointError("%s: checkpoint entry %r was already read" % (path, name))
         if name not in entries:
             raise CheckpointError("%s: missing checkpoint entry %r" % (path, name))
-        value = entries[name]
+        taken.add(name)
+        value = entries.pop(name)
         if shape is not None and np.shape(value) != shape:
             raise CheckpointError("%s: entry %r has shape %s, expected %s"
                                   % (path, name, np.shape(value), shape))
         return value
-    return get
+
+    try:
+        yield get
+    except ValueError as exc:
+        raise CheckpointError("%s: %s" % (path, exc))
+    if entries:
+        raise CheckpointError("%s: %d checkpoint entries that no part reads, first %s" % (
+            path, len(entries), ", ".join(map(repr, list(entries)[:4]))))
 
 
 def load_generator(path, name):
@@ -466,14 +480,11 @@ def load_generator(path, name):
     # read_entries name with a hook that takes the path alone
     entries = serialize.read_entries(
         path, keep=lambda key: key in ("version", "config", "epoch") or key.startswith(name + "."))
-    get = _entry_getter(path, entries)
-    try:
+    with _handing_over(path, entries) as get:
         cfg = _checkpoint_config(get("config").decode("utf-8"))
         net = build_generator(cfg)
         load_parts([(name, net)], get)
         epoch = int(get("epoch", ()))
-    except ValueError as exc:
-        raise CheckpointError("%s: %s" % (path, exc))
     return net, cfg, epoch
 
 

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -42,6 +43,26 @@ class TestEntries:
         back = read_entries(path)["state"]
         assert back.dtype == np.uint64
         assert np.array_equal(back, arr)
+
+    @pytest.mark.parametrize("arr", [
+        np.arange(12.0).reshape(3, 4).T,
+        np.array(-0.0),
+        np.arange(-3, 3, dtype=np.int32),
+        np.array([0, 7, 2**64 - 1], dtype=np.uint64),
+    ], ids=["transposed", "0-d", "int", "uint64"])
+    def test_written_bytes_pinned(self, tmp_path, arr):
+        # the bytes the container has always stored for an array: cast to
+        # float64 unless uint64, made contiguous, little-endian; the header
+        # keeps the array's own ndim and shape
+        path = str(tmp_path / "b.bin")
+        write_entries(path, [("a", arr)])
+        u8 = arr.dtype == np.uint64
+        data = np.ascontiguousarray(arr if u8 else arr.astype(np.float64)).astype(
+            "<u8" if u8 else "<f8").tobytes()
+        want = (MAGIC + struct.pack("<IH", 1, 1) + b"a" + struct.pack("<BB", int(u8), arr.ndim)
+                + struct.pack("<%dQ" % arr.ndim, *arr.shape) + data)
+        with open(path, "rb") as f:
+            assert f.read() == want
 
     def test_magic_header(self, tmp_path):
         path = str(tmp_path / "m.bin")

@@ -1,10 +1,12 @@
 import hashlib
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from drawcycle import autograd as ag
+from drawcycle import training
 from drawcycle.autograd import Tape, Tensor
 from drawcycle.data import SynthConfig, synth_generate
 from drawcycle.serialize import CheckpointError, read_entries, write_entries
@@ -655,6 +657,101 @@ class TestLoadGenerator:
         write_entries(path, list(entries.items()))
         with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
             load_generator(path, "g_xy")
+
+
+class TestEntriesReadOnce:
+    """Every entry a load reads is read once and then dropped, and every
+    entry it read from the file is taken by some part."""
+
+    def _checkpoint(self, tmp_path, n_res=1):
+        # a sparse generator and a randomized-rectifier discriminator, two
+        # steps in, so K-Winners state and both pools are stored too
+        tr = Trainer(tiny_config(seed=5, n_res=n_res, variant="sparse_kwinners",
+                                 d_activation="rrelu"))
+        ds = tiny_dataset(n=2, seed=5)
+        for _ in range(2):
+            tr.train_step([ds.domain_x[0]], [ds.domain_y[0]], 1e-4)
+        path = str(tmp_path / "c.ckpt")
+        tr.checkpoint_save(path)
+        return path
+
+    LOADS = {"generator": lambda path: load_generator(path, "g_xy"),
+             "resume": Trainer.checkpoint_load}
+
+    def test_fewer_blocks_in_config_than_in_file_rejected(self, tmp_path):
+        # a stored config of 1 residual block over a file that holds 3
+        # would load as a smaller generator than the one that was trained;
+        # a resume also meets optimizer moments of other shapes first
+        path = self._checkpoint(tmp_path, n_res=3)
+        entries = read_entries(path)
+        entries["config"] = entries["config"].replace(b"n_res = 3\n", b"n_res = 1\n")
+        write_entries(path, list(entries.items()))
+        with pytest.raises(CheckpointError, match="entries that no part reads, first 'g_xy.res1"):
+            load_generator(path, "g_xy")
+        with pytest.raises(CheckpointError, match="'opt_g.m.0020' has shape"):
+            Trainer.checkpoint_load(path)
+
+    @pytest.mark.parametrize("load", sorted(LOADS))
+    def test_stray_entry_rejected(self, tmp_path, load):
+        path = self._checkpoint(tmp_path)
+        entries = read_entries(path)
+        entries["g_xy.res0.conv3.weight"] = np.zeros(2)
+        write_entries(path, list(entries.items()))
+        with pytest.raises(CheckpointError, match="1 checkpoint entries that no part reads, "
+                                                  "first 'g_xy.res0.conv3.weight'"):
+            self.LOADS[load](path)
+
+    def test_second_read_of_an_entry_rejected(self):
+        entries = {"version": training.CHECKPOINT_VERSION, "a": np.zeros(2)}
+        with pytest.raises(CheckpointError, match="p: checkpoint entry 'a' was already read"):
+            with training._handing_over("p", entries) as get:
+                get("a")
+                get("a")
+
+    class _Watched(dict):
+        """A load's entries, which check at each read that no array read
+        before it is still referenced by anyone."""
+
+        def __init__(self, entries):
+            super().__init__(entries)
+            self.arrays = sum(isinstance(v, np.ndarray) for v in entries.values())
+            self.read = []  # (name, weakref) of each array read so far
+
+        def alive(self):
+            return [name for name, ref in self.read if ref() is not None]
+
+        def _take(self, name, value):
+            assert not self.alive(), "%s still held when %r is read" % (self.alive(), name)
+            if isinstance(value, np.ndarray):
+                self.read.append((name, weakref.ref(value)))
+            return value
+
+        def __getitem__(self, name):
+            return self._take(name, super().__getitem__(name))
+
+        def pop(self, name, *default):
+            return self._take(name, super().pop(name, *default))
+
+    def _watch(self, monkeypatch, module):
+        watched = []
+        real = module.read_entries
+
+        def read(path, **kw):
+            watched.append(self._Watched(real(path, **kw)))
+            return watched[-1]
+
+        monkeypatch.setattr(module, "read_entries", read)
+        return watched
+
+    @pytest.mark.parametrize("load", sorted(LOADS))
+    def test_each_entry_released_once_copied(self, tmp_path, monkeypatch, load):
+        from drawcycle import serialize
+        path = self._checkpoint(tmp_path)
+        watched = self._watch(monkeypatch, serialize if load == "generator" else training)
+        self.LOADS[load](path)
+        (entries,) = watched
+        assert len(entries.read) == entries.arrays > 20
+        assert entries.alive() == [] and not entries
 
 
 class TestDivergenceGuard:

@@ -1,5 +1,6 @@
 """The seeded contract: the losses.csv and final.ckpt hashes of a short
-seeded run of each preset, as README's Tests section describes it.
+seeded run of each preset, and the hash of its translation of the test
+drawings, as README's Tests section describes it.
 
 Usage:
   python3 tools/seeded_contract.py [--out DIR]
@@ -7,11 +8,13 @@ Usage:
 Synthesises the corpus (8 training and 4 test drawings per domain, seed
 0), writes each configs/<preset>.cfg at width 16, 3 residual blocks and
 2 epochs (1 at constant lr), trains it with the drawcycle CLI of this
-checkout, and prints one line per preset: `<preset> <sha256 of
-losses.csv> <sha256 of final.ckpt>`.  So two checkouts print the same
-lines exactly when their losses and checkpoints are byte-equal.  The runs
-go to a temporary directory that is removed at exit, or to DIR, kept,
-when --out is given (to compare translations).  Uses only the standard
+checkout, translates the corpus's testX from its final.ckpt, and prints
+one line per preset: `<preset> <sha256 of losses.csv> <sha256 of
+final.ckpt> <sha256 of the translation>`, the last taken over each output
+file's name and bytes in name order.  So two checkouts print the same
+lines exactly when their losses, checkpoints and translations are
+byte-equal.  The runs go to a temporary directory that is removed at
+exit, or to DIR, kept, when --out is given.  Uses only the standard
 library and the CLI.
 """
 
@@ -41,6 +44,18 @@ def sha256(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def sha256_dir(path):
+    """One hash over every file of a directory: each name and its bytes,
+    in name order."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as f:
+            data = f.read()
+        h.update(b"%s\0%d\0" % (name.encode("utf-8"), len(data)))
+        h.update(data)
+    return h.hexdigest()
+
+
 def contract_config(preset):
     """The preset's config text with the contract's overrides."""
     with open(os.path.join(ROOT, "configs", preset + ".cfg")) as f:
@@ -66,8 +81,12 @@ def run_contract(out):
             f.write(contract_config(preset))
         run = os.path.join(out, "run_" + preset)
         drawcycle("train", "--data", corpus, "--config", cfg, "--out", run)
-        print(preset, sha256(os.path.join(run, "losses.csv")),
-              sha256(os.path.join(run, "final.ckpt")), flush=True)
+        ckpt = os.path.join(run, "final.ckpt")
+        translated = os.path.join(run, "translated")
+        drawcycle("translate", "--ckpt", ckpt, "--in", os.path.join(corpus, "testX"),
+                  "--out", translated)
+        print(preset, sha256(os.path.join(run, "losses.csv")), sha256(ckpt),
+              sha256_dir(translated), flush=True)
 
 
 def main():
