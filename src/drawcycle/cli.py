@@ -15,20 +15,34 @@ import time
 import numpy as np
 
 from .data import (
-    SynthConfig, image_to_net, list_pgm, load_corpus, load_pgm, net_to_image,
+    SUBDIRS, SynthConfig, image_to_net, list_pgm, load_corpus, load_pgm, net_to_image,
     save_pgm, synth_generate, write_corpus,
 )
 from .metrics import evaluate_dataset, report_summary, report_to_csv
-from .models import output_noise_deviation
+from .models import check_extents, output_noise_deviation
 from .autograd import Tensor
+from .serialize import replacing
 from .training import TrainConfig, Trainer, history_to_csv, load_generator, lr_at_epoch
 
 
 def _write_atomic(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with replacing(path, "w") as fh:
         fh.write(text)
-    os.replace(tmp, path)
+
+
+def _read_drawings(path, check=lambda shape: None):
+    """(path, image) of each .pgm in a directory, in name order.  A directory
+    that holds none, or a drawing whose shape ``check`` rejects, is an error
+    naming it, raised before the command runs or writes anything."""
+    drawings = [(p, load_pgm(p)) for p in (os.path.join(path, n) for n in list_pgm(path))]
+    if not drawings:
+        raise ValueError("no .pgm files in %s" % (path,))
+    for p, img in drawings:
+        try:
+            check(img.shape)
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (p, exc)) from None
+    return drawings
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +50,11 @@ def _write_atomic(path, text):
 def cmd_synth(args):
     cfg = SynthConfig(image_size=args.size, n_train=args.train, n_test=args.test,
                       seed=args.seed)
+    # a corpus written over a larger one would keep the larger one's extra drawings
+    held = [d for d in (os.path.join(args.out, sub) for sub in SUBDIRS)
+            if os.path.isdir(d) and list_pgm(d)]
+    if held:
+        raise ValueError("%s already holds drawings: %s" % (args.out, ", ".join(held)))
     dataset = synth_generate(cfg)
     write_corpus(dataset, args.out)
     print("wrote corpus to %s: %d+%d train, %d+%d test, %d eval pairs"
@@ -103,38 +122,27 @@ def _write_run_record(args, trainer, checkpoints, started, status):
 
 def cmd_translate(args):
     net, _, _ = load_generator(args.ckpt, "g_xy" if args.direction == "x2y" else "g_yx")
-    names = _pgm_names(args.indir)
+    outputs = [(os.path.basename(p), net_to_image(net.forward(Tensor(image_to_net(img))).data))
+               for p, img in _read_drawings(args.indir, check_extents)]
     os.makedirs(args.out, exist_ok=True)
-    for name in names:
-        img = load_pgm(os.path.join(args.indir, name))
-        out = net.forward(Tensor(image_to_net(img)), train=False)
-        save_pgm(net_to_image(out.data), os.path.join(args.out, name))
-    print("translated %d images (%s) into %s" % (len(names), args.direction, args.out))
+    for name, img in outputs:
+        save_pgm(img, os.path.join(args.out, name))
+    print("translated %d images (%s) into %s" % (len(outputs), args.direction, args.out))
     return 0
-
-
-def _pgm_names(path):
-    """The .pgm names in a directory that must hold at least one."""
-    names = list_pgm(path)
-    if not names:
-        raise ValueError("no .pgm files in %s" % (path,))
-    return names
-
-
-def _load_pgm_dir(path, names):
-    return [load_pgm(os.path.join(path, n)) for n in names]
 
 
 def cmd_evaluate(args):
     """Score each translated image against the reference of the same name."""
-    names = list_pgm(args.translated)
-    ref_names = list_pgm(args.reference)
+    translated, reference = _read_drawings(args.translated), _read_drawings(args.reference)
+    names, ref_names = ([os.path.basename(p) for p, _ in d] for d in (translated, reference))
     if names != ref_names:
         raise ValueError("file names differ: only in %s: %s; only in %s: %s" % (
             args.translated, ", ".join(sorted(set(names) - set(ref_names))) or "-",
             args.reference, ", ".join(sorted(set(ref_names) - set(names))) or "-"))
-    report = evaluate_dataset(_load_pgm_dir(args.translated, names),
-                              _load_pgm_dir(args.reference, names),
+    for (p, a), (q, b) in zip(translated, reference):
+        if a.shape != b.shape:
+            raise ValueError("%s has shape %s but %s has %s" % (p, a.shape, q, b.shape))
+    report = evaluate_dataset([img for _, img in translated], [img for _, img in reference],
                               ids=[n[:-4] for n in names])
     _write_atomic(args.out, report_to_csv(report))
     print(report_summary(report))
@@ -229,7 +237,7 @@ def cmd_curves(args):
 
 
 def cmd_noise_report(args):
-    images = _load_pgm_dir(args.data, _pgm_names(args.data))
+    images = [img for _, img in _read_drawings(args.data, check_extents)]
     results = []
     for label, path in (("a", args.ckpt_a), ("b", args.ckpt_b)):
         net, cfg, epochs = load_generator(path, "g_xy")

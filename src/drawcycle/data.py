@@ -14,6 +14,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .serialize import replacing
+
 WHITE = 255
 
 
@@ -25,13 +27,14 @@ class PGMError(Exception):
 
 
 def save_pgm(image, path):
-    """Write an 8-bit grayscale image as binary PGM (maxval 255)."""
+    """Write an 8-bit grayscale image as binary PGM (maxval 255), whole or
+    not at all (``serialize.replacing``)."""
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise PGMError("PGM images must be 2-D")
     arr = arr.astype(np.uint8)
     h, w = arr.shape
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(b"P5\n%d %d\n255\n" % (w, h))
         fh.write(arr.tobytes())
 
@@ -281,16 +284,10 @@ SUBDIRS = ("trainX", "trainY", "testX", "testY", "eval_pairs")
 def write_corpus(dataset, outdir):
     """Write the corpus directory: eval_pairs/NNNN.pgm is the ground-truth
     Y image for testX/NNNN.pgm."""
-    for sub in SUBDIRS:
+    groups = (dataset.domain_x, dataset.domain_y, dataset.test_x, dataset.test_y,
+              [y for _, y in (dataset.paired_eval or [])])
+    for sub, images in zip(SUBDIRS, groups):
         os.makedirs(os.path.join(outdir, sub), exist_ok=True)
-    groups = [
-        ("trainX", dataset.domain_x),
-        ("trainY", dataset.domain_y),
-        ("testX", dataset.test_x),
-        ("testY", dataset.test_y),
-        ("eval_pairs", [y for _, y in (dataset.paired_eval or [])]),
-    ]
-    for sub, images in groups:
         for i, img in enumerate(images):
             save_pgm(img, os.path.join(outdir, sub, "%04d.pgm" % i))
 
@@ -300,14 +297,9 @@ def list_pgm(path):
     return sorted(n for n in os.listdir(path) if n.endswith(".pgm"))
 
 
-def _load_dir(path):
-    if not os.path.isdir(path):
-        raise FileNotFoundError("missing corpus directory %s" % (path,))
-    return [load_pgm(os.path.join(path, n)) for n in list_pgm(path)]
-
-
 def load_corpus(root):
     """Load the two training domains, ``trainX`` and ``trainY``, of a corpus
     directory written by :func:`write_corpus`; training reads no other."""
-    return Dataset(domain_x=_load_dir(os.path.join(root, "trainX")),
-                   domain_y=_load_dir(os.path.join(root, "trainY")))
+    x, y = ([load_pgm(os.path.join(root, sub, n)) for n in list_pgm(os.path.join(root, sub))]
+            for sub in ("trainX", "trainY"))
+    return Dataset(domain_x=x, domain_y=y)

@@ -82,8 +82,8 @@ class Conv2d(Layer):
 
 
 class SparseConv2d(Conv2d):
-    """Convolution whose weight carries a fixed random zero mask, all ones
-    until ``models.init_weights`` draws its ``weight_sparsity`` share of zeros.
+    """Convolution whose weight carries a fixed random zero mask, all zeros
+    until ``models.init_weights`` draws it or a checkpoint load fills it.
 
     The mask is applied inside the graph, so masked weights receive zero
     gradient and stay exactly zero under any number of optimizer steps.
@@ -92,7 +92,7 @@ class SparseConv2d(Conv2d):
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, weight_sparsity=0.5):
         super().__init__(in_ch, out_ch, kernel, stride=stride, padding=padding)
         self.weight_sparsity = weight_sparsity
-        self.mask = Tensor(np.ones(self.weight.shape))
+        self.mask = Tensor(np.zeros(self.weight.shape))
         self.tensors.append(("mask", self.mask))
 
     def forward(self, x, train=False):

@@ -52,6 +52,12 @@ class _ReflectPad(Layer):
         return ag.reflect_pad(x, self.pad)
 
 
+def check_extents(shape):
+    """Reject a drawing of ``shape`` (H, W) that the generator cannot halve twice."""
+    if shape[0] % 4 or shape[1] % 4:
+        raise ValueError("spatial extents must be divisible by 4, got (%d, %d)" % tuple(shape))
+
+
 class GeneratorNet(Sequential):
     def __init__(self, width=64, n_res=12, variant="dense_relu", weight_sparsity=0.5,
                  kwinners_cfg=None):
@@ -94,8 +100,7 @@ class GeneratorNet(Sequential):
         B, C, H, W = x.data.shape
         if C != 1:
             raise ValueError("generator expects 1 input channel, got %d" % (C,))
-        if H % 4 or W % 4:
-            raise ValueError("spatial extents must be divisible by 4, got (%d, %d)" % (H, W))
+        check_extents((H, W))
         return super().forward(x, train)
 
 

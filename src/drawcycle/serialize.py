@@ -8,6 +8,7 @@ save/load round trips are bit-exact across platforms.
 import math
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -53,41 +54,39 @@ def rng_state_from_array(arr):
     return rng
 
 
-def write_entries(path, entries):
-    """Write named entries to ``path``.
-
-    ``entries`` is an ordered list of (name, value) where value is a
-    float64 array, a uint64 array, or bytes.  The container is written to
-    ``path + ".tmp"`` and moved onto ``path`` only once complete, so a
-    write that fails leaves an earlier file at ``path`` whole.
-    """
+@contextmanager
+def replacing(path, mode="wb"):
+    """Yield a file open on ``path + ".tmp"``, moved onto ``path`` once the block
+    completes and removed if it raises: every file is written so, whole or not at all."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(entries)))
-            for name, value in entries:
-                nb = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(nb)))
-                fh.write(nb)
-                if isinstance(value, bytes):
-                    fh.write(struct.pack("<BB", _KIND_RAW, 0))
-                    fh.write(struct.pack("<Q", len(value)))
-                    fh.write(value)
-                    continue
-                arr = np.asarray(value)
-                kind, dt = (_KIND_U8, "<u8") if arr.dtype == np.uint64 else (_KIND_F8, "<f8")
-                fh.write(struct.pack("<BB", kind, arr.ndim))
-                for extent in arr.shape:
-                    fh.write(struct.pack("<Q", extent))
-                # the array's own buffer, copied only when it is not
-                # contiguous in the stored dtype
-                fh.write(np.ascontiguousarray(arr, dtype=dt))
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_entries(path, entries):
+    """Write named entries to ``path``, whole or not at all: ``entries`` is
+    an ordered list of (name, value), value a float64 or uint64 array or bytes."""
+    with replacing(path) as fh:
+        fh.write(MAGIC + struct.pack("<I", len(entries)))
+        for name, value in entries:
+            nb = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(nb)) + nb)
+            if isinstance(value, bytes):
+                fh.write(struct.pack("<BBQ", _KIND_RAW, 0, len(value)))
+                fh.write(value)
+                continue
+            arr = np.asarray(value)
+            kind, dt = (_KIND_U8, "<u8") if arr.dtype == np.uint64 else (_KIND_F8, "<f8")
+            fh.write(struct.pack("<BB%dQ" % arr.ndim, kind, arr.ndim, *arr.shape))
+            # the array's own buffer, copied only when it is not
+            # contiguous in the stored dtype
+            fh.write(np.ascontiguousarray(arr, dtype=dt))
 
 
 def read_entries(path, keep=None):

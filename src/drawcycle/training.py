@@ -312,9 +312,13 @@ class Trainer:
 
     # -- single optimization step ------------------------------------------
 
-    def _all_params(self):
-        return (self.g_xy.params() + self.g_yx.params()
-                + self.d_x.params() + self.d_y.params())
+    @staticmethod
+    def _update(opt, loss, tape, lr):
+        """Step ``opt`` down the gradient of ``loss`` recorded on ``tape``, then clear it."""
+        ag.zero_grad(opt.params)
+        ag.backward(loss, tape)
+        opt.step(lr)
+        tape.clear()
 
     def train_step(self, x_images, y_images, lr):
         """One generator update followed by d_steps_per_g discriminator
@@ -323,8 +327,7 @@ class Trainer:
         x = Tensor(np.concatenate([image_to_net(im) for im in x_images], axis=0))
         y = Tensor(np.concatenate([image_to_net(im) for im in y_images], axis=0))
 
-        tape = Tape()
-        with tape:
+        with Tape() as tape:
             fake_y = self.g_xy.forward(x, train=True)
             cyc_x = self.g_yx.forward(fake_y, train=True)
             fake_x = self.g_yx.forward(y, train=True)
@@ -340,10 +343,7 @@ class Trainer:
                                     x, self.g_yx.forward(x, train=True))
             total = total_objective(loss_g_xy, loss_g_yx, cyc, cfg.lambda_cyc,
                                     idt=idt, idt_weight=cfg.idt_weight)
-        ag.zero_grad(self._all_params())
-        ag.backward(total, tape)
-        self.opt_g.step(lr)
-        tape.clear()
+        self._update(self.opt_g, total, tape, lr)
 
         # one pool query per generator step: every D step sees the same
         # pooled fake, and the pool stores each generated image once
@@ -352,15 +352,11 @@ class Trainer:
         d_losses = {}
         for _ in range(cfg.d_steps_per_g):
             for name, disc, opt, real, pooled in d_sides:
-                dtape = Tape()
-                with dtape:
+                with Tape() as tape:
                     d_real = disc.forward(real, train=True)
                     d_fake = disc.forward(Tensor(pooled), train=True)
                     loss_d = gan_loss_discriminator(d_real, d_fake)
-                ag.zero_grad(disc.params())
-                ag.backward(loss_d, dtape)
-                opt.step(lr)
-                dtape.clear()
+                self._update(opt, loss_d, tape, lr)
                 d_losses.setdefault(name, loss_d.item())
 
         bundle = LossBundle(

@@ -66,6 +66,23 @@ class TestSynth:
         assert len(os.listdir(out / "trainX")) == 40
         assert len(os.listdir(out / "testX")) == 10
 
+    def test_existing_corpus_refused(self, tmp_path, capsys):
+        # a smaller corpus written over a larger one would keep its extra
+        # drawings, and training would read them
+        out = tmp_path / "c"
+        assert main(["synth", "--out", str(out), "--size", "32", "--train", "6"]) == 0
+        before = {sub: sorted(os.listdir(out / sub)) for sub in os.listdir(out)}
+        rc = main(["synth", "--out", str(out), "--size", "32", "--train", "2"])
+        assert rc == 1
+        assert "already holds drawings" in capsys.readouterr().err
+        assert {sub: sorted(os.listdir(out / sub)) for sub in os.listdir(out)} == before
+
+    def test_empty_subdirectories_accepted(self, tmp_path):
+        out = tmp_path / "c"
+        (out / "trainX").mkdir(parents=True)
+        assert main(["synth", "--out", str(out), "--size", "32", "--train", "2"]) == 0
+        assert len(os.listdir(out / "trainX")) == 2
+
 
 class TestTrain:
     def test_outputs_exist(self, trained):
@@ -293,6 +310,20 @@ class TestTranslate:
             assert not out.exists()
 
 
+    def test_bad_drawing_named_and_nothing_written(self, trained, tmp_path, capsys):
+        indir = tmp_path / "in"
+        indir.mkdir()
+        save_pgm(np.zeros((32, 32), dtype=np.uint8), str(indir / "a.pgm"))
+        save_pgm(np.zeros((30, 30), dtype=np.uint8), str(indir / "b.pgm"))
+        out = tmp_path / "o"
+        rc = main(["translate", "--ckpt", str(trained / "final.ckpt"), "--in", str(indir),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(indir / "b.pgm") in err and "divisible by 4" in err
+        assert not out.exists()
+
+
 class TestEvaluate:
     def test_identical_dirs_perfect_scores(self, corpus, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -344,6 +375,20 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert "0000.pgm" in err and "zzz.pgm" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_size_mismatch_names_pair(self, tmp_path, capsys):
+        tr, ref = tmp_path / "tr", tmp_path / "ref"
+        tr.mkdir()
+        ref.mkdir()
+        for d, size in ((tr, 32), (ref, 28)):
+            save_pgm(np.zeros((32, 32), dtype=np.uint8), str(d / "0000.pgm"))
+            save_pgm(np.zeros((size, size), dtype=np.uint8), str(d / "0001.pgm"))
+        rc = main(["evaluate", "--translated", str(tr), "--reference", str(ref),
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(tr / "0001.pgm") in err and str(ref / "0001.pgm") in err
         assert not (tmp_path / "r.csv").exists()
 
 
@@ -431,6 +476,16 @@ class TestNoiseReport:
         rc = main(["noise-report", "--ckpt-a", ckpt, "--ckpt-b", ckpt, "--data", str(empty)])
         assert rc == 1
         assert "error: no .pgm files in %s" % (empty,) in capsys.readouterr().err
+
+    def test_bad_drawing_named(self, trained, tmp_path, capsys):
+        data = tmp_path / "d"
+        data.mkdir()
+        save_pgm(np.zeros((32, 30), dtype=np.uint8), str(data / "a.pgm"))
+        ckpt = str(trained / "final.ckpt")
+        rc = main(["noise-report", "--ckpt-a", ckpt, "--ckpt-b", ckpt, "--data", str(data)])
+        assert rc == 1
+        assert "error: %s: spatial extents must be divisible by 4" % (data / "a.pgm",) \
+            in capsys.readouterr().err
 
     def test_line_matches_full_trainer_load(self, trained, corpus, capsys):
         # the report's figures from the whole trainer's g_xy, as before

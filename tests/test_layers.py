@@ -59,10 +59,10 @@ def masked_conv(in_ch, out_ch, weight_sparsity, mask_seed):
 
 
 class TestSparseConv:
-    def test_mask_all_ones_until_drawn(self):
+    def test_mask_all_zeros_until_drawn(self):
         layer = SparseConv2d(2, 3, 3, weight_sparsity=0.5)
         assert layer.weight_sparsity == 0.5
-        assert np.all(layer.mask.data == 1.0) and np.all(layer.weight.data == 0.0)
+        assert np.all(layer.mask.data == 0.0) and np.all(layer.weight.data == 0.0)
 
     def test_all_ones_mask_matches_dense(self):
         rng = np.random.default_rng(0)

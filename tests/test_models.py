@@ -200,7 +200,7 @@ class TestInitWeights:
             if isinstance(layer, (Conv2d, ConvTranspose2d)):
                 assert np.all(layer.weight.data == 0.0)
             if isinstance(layer, SparseConv2d):
-                assert np.all(layer.mask.data == 1.0)
+                assert np.all(layer.mask.data == 0.0)
             if isinstance(layer, RReLU):
                 assert layer.rng is None
 

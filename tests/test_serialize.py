@@ -1,9 +1,12 @@
+import builtins
+import errno
 import os
 import struct
 
 import numpy as np
 import pytest
 
+from drawcycle import cli, data, serialize
 from drawcycle.serialize import (
     MAGIC, CheckpointError, read_entries, rng_state_from_array,
     rng_state_to_array, write_entries,
@@ -104,6 +107,51 @@ class TestEntries:
         p.write_bytes(b"")
         with pytest.raises(CheckpointError):
             read_entries(str(p))
+
+
+class _FillingDisk:
+    """A file that takes ``room`` characters, then fails as a full disk."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        self.fh.write(chunk[:self.room])
+        self.room -= len(chunk)
+        if self.room < 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+# each program file kind: (name, writer of an earlier and of a later version)
+WRITERS = {
+    "text record": ("losses.csv", lambda path, n: cli._write_atomic(path, "epoch\n" + "1.5\n" * n)),
+    "drawing": ("0000.pgm", lambda path, n: data.save_pgm(np.full((8, 4 * n), n), path)),
+    "checkpoint": ("final.ckpt", lambda path, n: write_entries(path, [("a", np.arange(n * 10.0))])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_write_that_fails_part_way_leaves_earlier_file_whole(tmp_path, monkeypatch, kind):
+    name, write = WRITERS[kind]
+    path = str(tmp_path / name)
+    write(path, 1)
+    before = open(path, "rb").read()
+    # the disk fills after half the later version's header
+    monkeypatch.setattr(serialize, "open", lambda p, mode: _FillingDisk(builtins.open(p, mode), 4),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write(path, 3)
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == [name]
+    assert open(path, "rb").read() == before
+    write(path, 3)
+    assert open(path, "rb").read() != before
 
 
 def _small_container(path):

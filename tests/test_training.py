@@ -28,6 +28,11 @@ def tiny_config(**kw):
     return TrainConfig(**kw).validate()
 
 
+def all_params(trainer):
+    """Every parameter of a trainer's four networks, through its optimizers."""
+    return [p for opt in (trainer.opt_g, trainer.opt_dx, trainer.opt_dy) for p in opt.params]
+
+
 def tiny_dataset(n=2, size=32, seed=0):
     cfg = SynthConfig(image_size=size, n_train=n, n_test=1, seed=seed)
     return synth_generate(cfg)
@@ -227,18 +232,18 @@ class TestTrainStep:
     def test_zero_lr_freezes_parameters(self):
         trainer = Trainer(tiny_config(seed=1))
         ds = tiny_dataset()
-        before = [p.data.copy() for p in trainer._all_params()]
+        before = [p.data.copy() for p in all_params(trainer)]
         trainer.train_step([ds.domain_x[0]], [ds.domain_y[0]], lr=0.0)
-        after = [p.data for p in trainer._all_params()]
+        after = [p.data for p in all_params(trainer)]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_positive_lr_moves_parameters(self):
         trainer = Trainer(tiny_config(seed=1))
         ds = tiny_dataset()
-        before = [p.data.copy() for p in trainer._all_params()]
+        before = [p.data.copy() for p in all_params(trainer)]
         trainer.train_step([ds.domain_x[0]], [ds.domain_y[0]], lr=2e-4)
         moved = sum(not np.array_equal(a, b)
-                    for a, b in zip(before, [p.data for p in trainer._all_params()]))
+                    for a, b in zip(before, [p.data for p in all_params(trainer)]))
         assert moved > len(before) // 2
 
     def test_bundle_fields_finite_and_idt_gating(self):
@@ -273,6 +278,20 @@ class TestTrainStep:
                 if isinstance(layer, SparseConv2d):
                     assert np.all(layer.weight.data[layer.mask.data == 0] == 0.0)
 
+    def test_each_optimizer_steps_through_update(self, monkeypatch):
+        trainer = Trainer(tiny_config(seed=1, d_steps_per_g=2))
+        ds = tiny_dataset()
+        calls = []
+        update = Trainer._update
+
+        def spy(opt, loss, tape, lr):
+            update(opt, loss, tape, lr)
+            calls.append((opt, len(tape), lr))
+        monkeypatch.setattr(Trainer, "_update", staticmethod(spy))
+        trainer.train_step([ds.domain_x[0]], [ds.domain_y[0]], lr=1e-4)
+        d_steps = [(trainer.opt_dy, 0, 1e-4), (trainer.opt_dx, 0, 1e-4)] * 2
+        assert calls == [(trainer.opt_g, 0, 1e-4)] + d_steps
+
     @pytest.mark.parametrize("preset", ["finetuned", "baseline"])
     def test_no_gradients_held_after_step(self, preset):
         cfg = preset_config(preset)
@@ -280,7 +299,7 @@ class TestTrainStep:
         trainer = Trainer(cfg.validate())
         ds = tiny_dataset()
         trainer.train_step([ds.domain_x[0]], [ds.domain_y[0]], lr=1e-4)
-        assert all(p.grad is None for p in trainer._all_params())
+        assert all(p.grad is None for p in all_params(trainer))
 
     def test_resolution_change_rejected(self):
         # a run continued at another resolution would feed its
@@ -414,7 +433,7 @@ class TestCheckpoint:
         back = Trainer.checkpoint_load(path)
         xs, ys = ds.domain_x[:2], ds.domain_y[2:]
         assert tr.train_step(xs, ys, 1e-4).values() == back.train_step(xs, ys, 1e-4).values()
-        for a, b in zip(tr._all_params(), back._all_params()):
+        for a, b in zip(all_params(tr), all_params(back)):
             assert np.array_equal(a.data, b.data)
 
     def _with_config_lines(self, path, extra):
